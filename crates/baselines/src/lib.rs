@@ -1,7 +1,7 @@
 //! # emogi-baselines — the systems EMOGI is compared against
 //!
 //! * **UVM** (§5.1.2(a)) — the optimized UVM baseline is simply
-//!   `emogi_core::TraversalConfig::uvm_v100()`: the same kernels with the
+//!   `emogi_core::EngineConfig::uvm_v100()`: the same kernels with the
 //!   edge list in managed memory and `cudaMemAdviseSetReadMostly`. This
 //!   crate adds nothing for it.
 //! * **HALO-like** ([`halo`], Table 3 upper half) — Gera et al.'s

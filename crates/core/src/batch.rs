@@ -16,9 +16,12 @@
 //! programs' per-edge updates are commutative within an iteration
 //! (BFS marks, SSSP takes mins), so a query's frontier sequence — and
 //! therefore its output *and* its iteration count — is identical whether
-//! it runs alone or inside any batch. [`Engine::run_batch`] is the
-//! driver; `tests/serve_proptests.rs` checks the equivalence on random
-//! graphs, query mixes and access modes.
+//! it runs alone or inside any batch. [`Engine::run_batch`] runs a batch
+//! through the same scan, planning, device-work and measurement stages
+//! as a solo run; only the union merge (`merge_frontiers`), this
+//! kernel and per-query attribution are batch-specific.
+//! `tests/serve_proptests.rs` checks the equivalence on random graphs,
+//! query mixes and access modes.
 //!
 //! [`Engine::run_batch`]: crate::engine::Engine::run_batch
 

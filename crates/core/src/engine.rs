@@ -9,29 +9,29 @@
 //! (in hybrid mode) the already-staged regions, which is what makes
 //! multi-query scenarios (analytics serving, multi-source BFS) cheap.
 //!
-//! Between launches the engine charges the device-side vertex scan that
-//! selects active vertices (the kernels iterate over all vertices and
-//! test their status, §2.1 Algorithm 1), plans hybrid transfers from the
-//! program's declared [`AccessPattern`] — frontier-driven programs
-//! predict exactly the neighbour lists the next launch reads, full-sweep
-//! programs the whole edge list — and applies the program's device-side
-//! inter-launch work (CC's pointer-jumping shortcut).
+//! A solo run is the crate's one iteration driver over a one-device
+//! group: one machine, a one-part vertex partition, no exchange — the
+//! same stages (active-vertex scan, transfer planning from the work
+//! items' byte ranges, launch, the program's device-side inter-launch
+//! work) a [`ShardedEngine`](crate::ShardedEngine) runs per device.
+//! [`Engine::run_batch`] reuses those stages over the union of a batch's
+//! frontiers.
 
 use crate::batch::BatchRun;
 use crate::bfs::{BfsOutput, BfsProgram};
 use crate::cc::{CcOutput, CcProgram};
-use crate::kernel::{ProgramKernel, WorkList};
+use crate::driver::{apply_device_work, charge_vertex_scan, Device, Driver};
+use crate::kernel::WorkList;
 use crate::layout::{EdgePlacement, GraphLayout};
 use crate::pagerank::{PageRankOutput, PageRankProgram};
 use crate::program::{AccessPattern, DeviceWork, VertexProgram};
 use crate::sssp::{SsspOutput, SsspProgram};
 use crate::strategy::{AccessMode, AccessStrategy};
-use emogi_graph::{CsrGraph, VertexId};
+use emogi_graph::{CsrGraph, VertexId, VertexPartition};
 use emogi_runtime::exec::run_kernel;
 use emogi_runtime::machine::MachineConfig;
 use emogi_runtime::report::RunStats;
-use emogi_runtime::{Machine, PrefetchConfig, Prefetcher, TransferConfig, TransferManager};
-use emogi_sim::pipeline::CopyEngineConfig;
+use emogi_runtime::{Machine, PrefetchConfig, TransferConfig};
 
 /// How to build an [`Engine`].
 #[derive(Debug, Clone)]
@@ -65,9 +65,6 @@ pub struct EngineConfig {
     /// timing may differ. Off by default.
     pub frontier_reorder: bool,
 }
-
-/// Pre-redesign name of [`EngineConfig`], kept for downstream code.
-pub type TraversalConfig = EngineConfig;
 
 impl EngineConfig {
     /// EMOGI as evaluated: V100, PCIe 3.0, merged + aligned zero-copy.
@@ -171,94 +168,6 @@ impl EngineConfig {
     }
 }
 
-/// Build the hybrid transfer manager for a placed edge list, if the
-/// configuration asks for one. Shared by the single-device and sharded
-/// engines so the placement discipline can never diverge between them.
-/// The layout's host/CXL split becomes the manager's tier homes, so a
-/// spilled tail is promoted over the CXL link rather than the PCIe lane.
-pub(crate) fn build_transfer(
-    machine: &Machine,
-    graph: &CsrGraph,
-    elem_bytes: u64,
-    placement: EdgePlacement,
-    layout: &GraphLayout,
-    cfg: Option<TransferConfig>,
-) -> Option<TransferManager> {
-    cfg.map(|tcfg| {
-        assert_eq!(
-            placement,
-            EdgePlacement::ZeroCopyHost,
-            "hybrid transfers manage the pinned-host edge list"
-        );
-        TransferManager::with_tiers(
-            machine,
-            graph.edge_list_bytes(elem_bytes),
-            layout.host_edge_bytes,
-            tcfg,
-        )
-    })
-}
-
-/// Build the speculative prefetcher for a pipelined engine, if both the
-/// pipeline knob and a transfer manager are present (the knob is inert
-/// without one — there is nothing to stage asynchronously). The copy
-/// lane defaults to the machine's PCIe cost model so hidden-latency
-/// estimates match the synchronous DMA path. Shared by the
-/// single-device and sharded engines.
-pub(crate) fn build_prefetcher(
-    machine: &Machine,
-    transfer: Option<&TransferManager>,
-    cfg: Option<PrefetchConfig>,
-) -> Option<Prefetcher> {
-    match (transfer, cfg) {
-        (Some(tm), Some(pcfg)) => {
-            let copy = pcfg
-                .copy
-                .clone()
-                .unwrap_or_else(|| CopyEngineConfig::from_pcie(&machine.cfg.pcie));
-            Some(Prefetcher::new(tm.num_regions(), pcfg, copy))
-        }
-        _ => None,
-    }
-}
-
-/// Place the auxiliary 4-byte-per-edge data array in the edge list's
-/// space, if not already placed. The edge-space bump allocator is
-/// independent of the device one, so the array lands at the same
-/// address it would have at load time. Shared by the single-device and
-/// sharded engines.
-pub(crate) fn ensure_edge_data(
-    machine: &mut Machine,
-    layout: &mut GraphLayout,
-    graph: &CsrGraph,
-    placement: EdgePlacement,
-) {
-    if layout.weight_base.is_some() {
-        return;
-    }
-    let bytes = graph.num_edges() as u64 * 4;
-    let base = match placement {
-        EdgePlacement::ZeroCopyHost => machine.alloc_host_pinned(bytes),
-        EdgePlacement::Uvm => {
-            assert!(
-                machine.uvm.is_none(),
-                "place edge data before the first managed kernel runs \
-                 (the UVM driver's span is fixed at initialization)"
-            );
-            machine.alloc_managed(bytes)
-        }
-    };
-    layout.weight_base = Some(base);
-}
-
-/// Charge the device-side active-vertex scan before a launch (the
-/// kernels iterate over all vertices and test their status, §2.1
-/// Algorithm 1). Shared by the single-device and sharded engines.
-pub(crate) fn charge_vertex_scan(machine: &mut Machine, num_vertices: usize) {
-    let bytes = num_vertices as u64 * 4;
-    machine.now = machine.hbm.read_bulk(machine.now, bytes);
-}
-
 /// Result of one program execution: the program's output plus the run's
 /// measurements (which carry their own transfer counters — hybrid runs
 /// fill [`RunStats::transfer`], everything else leaves it zeroed).
@@ -309,18 +218,8 @@ pub type PageRankRun = Run<PageRankOutput>;
 pub struct Engine<'g> {
     /// The simulated machine the graph is placed on.
     pub machine: Machine,
-    graph: &'g CsrGraph,
-    layout: GraphLayout,
-    strategy: AccessStrategy,
-    placement: EdgePlacement,
-    /// Hybrid mode: the per-region zero-copy / DMA transfer manager.
-    transfer: Option<TransferManager>,
-    /// Pipelined execution: the speculative prefetcher feeding the
-    /// asynchronous copy lane (present only when `transfer` is too).
-    prefetcher: Option<Prefetcher>,
-    /// Frontier access reordering: segment size to sort each iteration's
-    /// work by, or `None` when the knob is off.
-    reorder_segment: Option<u64>,
+    /// The placement and the iteration driver, over this one device.
+    driver: Driver<'g>,
     /// Device status arrays for batched multi-query execution, one per
     /// query slot, allocated on first use and reused across batches.
     batch_status: Vec<u64>,
@@ -332,46 +231,33 @@ impl<'g> Engine<'g> {
     /// that declares it — weights are a program input, not an engine
     /// field.
     pub fn load(cfg: EngineConfig, graph: &'g CsrGraph) -> Self {
-        let reorder_segment = cfg
-            .frontier_reorder
-            .then_some(cfg.machine.gpu.cache.capacity_bytes);
-        let mut machine = Machine::new(cfg.machine);
-        let layout = GraphLayout::place(&mut machine, graph, cfg.elem_bytes, cfg.placement, false);
-        let transfer = build_transfer(
-            &machine,
-            graph,
-            cfg.elem_bytes,
-            cfg.placement,
-            &layout,
-            cfg.transfer,
-        );
-        let prefetcher = build_prefetcher(&machine, transfer.as_ref(), cfg.pipeline);
+        let mut machine = Machine::new(cfg.machine.clone());
+        let partition = VertexPartition::contiguous(graph.num_vertices(), 1);
+        let driver = Driver::load(&cfg, graph, std::slice::from_mut(&mut machine), partition);
         Self {
             machine,
-            graph,
-            layout,
-            strategy: cfg.strategy,
-            placement: cfg.placement,
-            transfer,
-            prefetcher,
-            reorder_segment,
+            driver,
             batch_status: Vec::new(),
         }
     }
 
     /// The placed graph.
     pub fn graph(&self) -> &'g CsrGraph {
-        self.graph
+        self.driver.graph
     }
 
     /// Where the graph's arrays live on the machine.
     pub fn layout(&self) -> &GraphLayout {
-        &self.layout
+        &self.device().layout
     }
 
     /// The kernel-level access strategy every run uses.
     pub fn strategy(&self) -> AccessStrategy {
-        self.strategy
+        self.driver.strategy
+    }
+
+    fn device(&self) -> &Device {
+        &self.driver.devices[0]
     }
 
     /// Effective host-link payload bandwidth in bytes per simulated
@@ -385,164 +271,24 @@ impl<'g> Engine<'g> {
 
     /// Edge-list bytes as placed (the Figure 10 denominator).
     pub fn dataset_bytes(&self) -> u64 {
-        let mut b = self.graph.edge_list_bytes(self.layout.elem_bytes);
-        if self.layout.weight_base.is_some() {
-            b += self.graph.num_edges() as u64 * 4;
+        let (graph, layout) = (self.graph(), self.layout());
+        let mut b = graph.edge_list_bytes(layout.elem_bytes);
+        if layout.weight_base.is_some() {
+            b += graph.num_edges() as u64 * 4;
         }
         b
-    }
-
-    /// Place the auxiliary 4-byte-per-edge data array on demand (see
-    /// [`ensure_edge_data`]).
-    fn ensure_edge_data(&mut self) {
-        ensure_edge_data(
-            &mut self.machine,
-            &mut self.layout,
-            self.graph,
-            self.placement,
-        );
-    }
-
-    /// Device-side active-vertex scan before each launch.
-    fn charge_vertex_scan(&mut self) {
-        charge_vertex_scan(&mut self.machine, self.graph.num_vertices());
-    }
-
-    /// Hybrid planning before a launch: predict the launch's edge-list
-    /// byte ranges from the program's access pattern — the frontier
-    /// determines them precisely for frontier-driven programs, full
-    /// sweeps read everything — let the transfer manager stage regions
-    /// (advancing the machine clock by the bulk-copy time), and refresh
-    /// the layout's staged-region table for the kernels' address
-    /// computation.
-    fn plan_transfers(&mut self, pattern: AccessPattern, frontier: &[VertexId]) {
-        let Some(tm) = self.transfer.as_mut() else {
-            return;
-        };
-        let elem = self.layout.elem_bytes;
-        let graph = self.graph;
-        let pf = self.prefetcher.as_mut();
-        let changed = match pattern {
-            AccessPattern::FrontierDriven => {
-                let ranges = frontier
-                    .iter()
-                    .map(|&v| (graph.neighbor_start(v) * elem, graph.neighbor_end(v) * elem));
-                match pf {
-                    Some(p) => tm.plan_iteration_pipelined(&mut self.machine, ranges, p),
-                    None => tm.plan_iteration(&mut self.machine, ranges),
-                }
-            }
-            AccessPattern::FullSweep => {
-                let ranges = std::iter::once((0, graph.edge_list_bytes(elem)));
-                match pf {
-                    Some(p) => tm.plan_iteration_pipelined(&mut self.machine, ranges, p),
-                    None => tm.plan_iteration(&mut self.machine, ranges),
-                }
-            }
-        };
-        // Refresh the layout's table only when it changed: a run that
-        // never stages keeps `staged_edges == None` and the address path
-        // free of region lookups.
-        if changed {
-            self.layout.staged_edges = Some(tm.region_map());
-        }
-        // Double-buffering: feed the asynchronous lane with next
-        // iteration's predicted regions so their copies overlap the
-        // kernel launched right after this planning round.
-        if let Some(p) = self.prefetcher.as_mut() {
-            tm.prefetch_for_next(self.machine.now, p);
-        }
-    }
-
-    /// Charge the program's inter-launch device-side work.
-    fn apply_device_work<P: VertexProgram>(&mut self, program: &mut P, work: &mut DeviceWork) {
-        program.post_iteration(work);
-        for bytes in work.drain() {
-            self.machine.now = self.machine.hbm.read_bulk(self.machine.now, bytes);
-        }
     }
 
     /// Run `program` to convergence against the placed graph. One generic
     /// driver serves every program; there are no per-algorithm branches —
     /// only pattern dispatch on the program's declared [`AccessPattern`].
-    pub fn run<P: VertexProgram>(&mut self, mut program: P) -> Run<P::Output> {
-        if program.uses_edge_data() {
-            self.ensure_edge_data();
-        }
-        let snap = self.machine.snapshot();
-        let transfer_base = self.transfer.as_ref().map(|t| t.stats);
-        let prefetch_base = self.prefetcher.as_ref().map(|p| p.stats);
-        let pattern = program.pattern();
-        let mut launches = 0u64;
-        let mut work = DeviceWork::default();
-        let mut next: Vec<VertexId> = Vec::new();
-        match pattern {
-            AccessPattern::FrontierDriven => {
-                let mut frontier = program.initial_frontier();
-                frontier.sort_unstable();
-                frontier.dedup();
-                while !frontier.is_empty() {
-                    if let Some(seg) = self.reorder_segment {
-                        crate::reorder::reorder_frontier(
-                            &self.layout,
-                            self.graph,
-                            &mut frontier,
-                            seg,
-                        );
-                    }
-                    self.charge_vertex_scan();
-                    self.plan_transfers(pattern, &frontier);
-                    program.begin_iteration();
-                    next.clear();
-                    let mut kernel = ProgramKernel::new(
-                        self.graph,
-                        &self.layout,
-                        self.strategy,
-                        &mut program,
-                        WorkList::Frontier(&frontier),
-                        &mut next,
-                    );
-                    run_kernel(&mut self.machine, &mut kernel);
-                    launches += 1;
-                    self.apply_device_work(&mut program, &mut work);
-                    next.sort_unstable();
-                    next.dedup();
-                    std::mem::swap(&mut frontier, &mut next);
-                }
-            }
-            AccessPattern::FullSweep => {
-                let n = self.graph.num_vertices() as u32;
-                loop {
-                    self.charge_vertex_scan();
-                    self.plan_transfers(pattern, &[]);
-                    program.begin_iteration();
-                    next.clear();
-                    let mut kernel = ProgramKernel::new(
-                        self.graph,
-                        &self.layout,
-                        self.strategy,
-                        &mut program,
-                        WorkList::All(n),
-                        &mut next,
-                    );
-                    run_kernel(&mut self.machine, &mut kernel);
-                    launches += 1;
-                    self.apply_device_work(&mut program, &mut work);
-                    if program.converged() {
-                        break;
-                    }
-                }
-            }
-        }
-        let mut stats = self.machine.finish_run(&snap, launches);
-        if let (Some(tm), Some(base)) = (&self.transfer, transfer_base) {
-            stats.transfer = tm.stats - base;
-        }
-        if let (Some(p), Some(base)) = (&self.prefetcher, prefetch_base) {
-            stats.prefetch = p.stats - base;
-        }
+    pub fn run<P: VertexProgram>(&mut self, program: P) -> Run<P::Output> {
+        let run = self
+            .driver
+            .run(std::slice::from_mut(&mut self.machine), None, program);
+        let [stats] = <[RunStats; 1]>::try_from(run.per_device).expect("one device");
         Run {
-            output: program.finish(),
+            output: run.output,
             stats,
         }
     }
@@ -557,14 +303,14 @@ impl<'g> Engine<'g> {
     /// possibly less than `want` — [`run_batch`](Self::run_batch) splits
     /// the batch or falls back to solo runs accordingly.
     fn ensure_batch_status(&mut self, want: usize) -> usize {
-        let bytes = self.graph.num_vertices() as u64 * 4;
+        let bytes = self.graph().num_vertices() as u64 * 4;
         let need = bytes.div_ceil(128) * 128;
         while self.batch_status.len() < want {
             if self.machine.uvm.is_some() || self.machine.spaces.device_free() < need {
                 break;
             }
             let base = self.machine.alloc_device(bytes);
-            if let Some(tm) = self.transfer.as_mut() {
+            if let Some(tm) = self.driver.devices[0].transfer.as_mut() {
                 tm.reserve(bytes);
             }
             self.batch_status.push(base);
@@ -617,7 +363,8 @@ impl<'g> Engine<'g> {
             );
         }
         if programs[0].uses_edge_data() {
-            self.ensure_edge_data();
+            self.driver
+                .ensure_edge_data(std::slice::from_mut(&mut self.machine));
         }
         // Best-effort slot acquisition: device memory may already be
         // exhausted (hybrid staging on an oversubscribed graph) or
@@ -628,9 +375,7 @@ impl<'g> Engine<'g> {
         // its savings) shrinks.
         let slots = self.ensure_batch_status(programs.len());
 
-        let batch_snap = self.machine.snapshot();
-        let batch_transfer_base = self.transfer.as_ref().map(|t| t.stats);
-        let batch_prefetch_base = self.prefetcher.as_ref().map(|p| p.stats);
+        let base = self.device().counters(&self.machine);
         let mut runs: Vec<Run<P::Output>> = Vec::with_capacity(programs.len());
         let mut total_launches = 0u64;
         if slots == 0 {
@@ -647,25 +392,21 @@ impl<'g> Engine<'g> {
                 programs = rest;
             }
         }
-        let mut stats = self.machine.finish_run(&batch_snap, total_launches);
-        if let (Some(tm), Some(base)) = (&self.transfer, batch_transfer_base) {
-            stats.transfer = tm.stats - base;
-        }
-        if let (Some(p), Some(base)) = (&self.prefetcher, batch_prefetch_base) {
-            stats.prefetch = p.stats - base;
-        }
+        let stats = self.device().measure(&self.machine, &base, total_launches);
         BatchRun { runs, stats }
     }
 
-    /// One group of the batch, sized to the available status slots: the
-    /// per-iteration union-frontier loop behind
-    /// [`run_batch`](Self::run_batch).
+    /// One group of the batch, sized to the available status slots. Only
+    /// the union merge, the batch kernel and per-query attribution are
+    /// batch-specific; the scan, planning, device-work and measurement
+    /// stages are the iteration driver's.
     fn run_batch_group<P: VertexProgram>(
         &mut self,
         mut programs: Vec<P>,
         total_launches: &mut u64,
     ) -> Vec<Run<P::Output>> {
         let nq = programs.len();
+        let graph = self.graph();
         let mut frontiers: Vec<Vec<VertexId>> = programs
             .iter()
             .map(|p| {
@@ -688,61 +429,47 @@ impl<'g> Engine<'g> {
         let mut work = DeviceWork::default();
         let mut union: Vec<VertexId> = Vec::new();
         let mut masks: Vec<u64> = Vec::new();
+        let machines = std::slice::from_mut(&mut self.machine);
+        let dev = &mut self.driver.devices[0];
         loop {
             crate::batch::merge_frontiers(&frontiers, &mut union, &mut masks);
             if union.is_empty() {
                 break;
             }
-            if let Some(seg) = self.reorder_segment {
-                crate::reorder::reorder_union(
-                    &self.layout,
-                    self.graph,
-                    &mut union,
-                    &mut masks,
-                    seg,
-                );
+            if let Some(seg) = self.driver.reorder_segment {
+                crate::reorder::reorder_union(&dev.layout, graph, &mut union, &mut masks, seg);
             }
             let active: Vec<usize> = (0..nq).filter(|&q| !frontiers[q].is_empty()).collect();
-            let iter_snap = self.machine.snapshot();
-            let iter_transfer_base = self.transfer.as_ref().map(|t| t.stats);
-            let iter_prefetch_base = self.prefetcher.as_ref().map(|p| p.stats);
+            let base = dev.counters(&machines[0]);
             // The active-vertex scan runs per query (each query's status
             // array is scanned for its own frontier), exactly as many
             // times as the sequential runs would pay it — batching saves
             // edge fetches, not bookkeeping.
             for _ in &active {
-                self.charge_vertex_scan();
+                charge_vertex_scan(&mut machines[0], graph.num_vertices());
             }
-            self.plan_transfers(AccessPattern::FrontierDriven, &union);
+            dev.plan(&mut machines[0], graph, WorkList::Frontier(&union));
             for &q in &active {
                 programs[q].begin_iteration();
             }
             let mut kernel = crate::batch::BatchKernel::new(
-                self.graph,
-                &self.layout,
-                self.strategy,
+                graph,
+                &dev.layout,
+                self.driver.strategy,
                 &mut programs,
                 &self.batch_status,
                 &union,
                 &masks,
                 &mut next,
             );
-            run_kernel(&mut self.machine, &mut kernel);
+            run_kernel(&mut machines[0], &mut kernel);
             *total_launches += 1;
             for &q in &active {
-                self.apply_device_work(&mut programs[q], &mut work);
+                apply_device_work(machines, &mut programs[q], &mut work);
             }
-            let mut iter_stats = self.machine.finish_run(&iter_snap, 1);
-            if let (Some(tm), Some(base)) = (&self.transfer, iter_transfer_base) {
-                iter_stats.transfer = tm.stats - base;
-            }
-            if let (Some(p), Some(base)) = (&self.prefetcher, iter_prefetch_base) {
-                iter_stats.prefetch = p.stats - base;
-            }
+            let iter_stats = dev.measure(&machines[0], &base, 1);
             for &q in &active {
                 per_stats[q].accumulate(&iter_stats);
-            }
-            for &q in &active {
                 next[q].sort_unstable();
                 next[q].dedup();
                 std::mem::swap(&mut frontiers[q], &mut next[q]);
@@ -761,25 +488,25 @@ impl<'g> Engine<'g> {
 
     /// Full BFS from `src`; one kernel launch per level.
     pub fn bfs(&mut self, src: VertexId) -> BfsRun {
-        self.run(BfsProgram::new(self.graph, src))
+        self.run(BfsProgram::new(self.graph(), src))
     }
 
     /// Full SSSP from `src` with per-edge `weights`; relaxation rounds
     /// until no distance changes.
     pub fn sssp(&mut self, weights: &[u32], src: VertexId) -> SsspRun {
-        self.run(SsspProgram::new(self.graph, weights, src))
+        self.run(SsspProgram::new(self.graph(), weights, src))
     }
 
     /// Full CC; hook passes over the whole edge list until stable, with a
     /// device-side pointer-jumping shortcut after each pass.
     pub fn cc(&mut self) -> CcRun {
-        self.run(CcProgram::new(self.graph))
+        self.run(CcProgram::new(self.graph()))
     }
 
     /// PageRank: `iterations` damped power iterations over the full edge
     /// list.
     pub fn pagerank(&mut self, damping: f64, iterations: u32) -> PageRankRun {
-        self.run(PageRankProgram::new(self.graph, damping, iterations))
+        self.run(PageRankProgram::new(self.graph(), damping, iterations))
     }
 }
 

@@ -29,33 +29,67 @@ pub type WorkSlice = (VertexId, u64, u64);
 pub enum WorkList<'a> {
     /// Frontier-driven: this iteration's active vertices.
     Frontier(&'a [VertexId]),
-    /// Full sweep: every vertex `0..n`.
-    All(u32),
-    /// Sharded full sweep: the contiguous vertex range `lo..hi` one
-    /// device owns ([`All`](WorkList::All) is `Range(0, n)`).
+    /// Full sweep: the contiguous vertex range `lo..hi` a device owns
+    /// (`0..n` on a single device).
     Range(VertexId, VertexId),
-    /// Sharded frontier: explicit `(vertex, edge lo, edge hi)` work
+    /// Frontier-driven, as explicit `(vertex, edge lo, edge hi)` work
     /// items, one per (possibly partial) neighbour-list walk.
     Slices(&'a [WorkSlice]),
 }
 
 impl WorkList<'_> {
-    fn len(&self) -> usize {
+    /// Number of work items.
+    pub(crate) fn len(&self) -> usize {
         match self {
             WorkList::Frontier(f) => f.len(),
-            WorkList::All(n) => *n as usize,
             WorkList::Range(lo, hi) => (hi - lo) as usize,
             WorkList::Slices(s) => s.len(),
         }
     }
 
-    fn get(&self, i: usize) -> VertexId {
+    /// The vertex of work item `i`.
+    pub(crate) fn get(&self, i: usize) -> VertexId {
         match self {
             WorkList::Frontier(f) => f[i],
-            WorkList::All(_) => i as VertexId,
             WorkList::Range(lo, _) => lo + i as VertexId,
             WorkList::Slices(s) => s[i].0,
         }
+    }
+
+    /// The edge-list element range work item `i` walks: the vertex's
+    /// whole neighbour list, or the explicit slice of a split one.
+    fn item_range(&self, graph: &CsrGraph, i: usize) -> (u64, u64) {
+        match self {
+            WorkList::Slices(s) => (s[i].1, s[i].2),
+            _ => {
+                let v = self.get(i);
+                (graph.neighbor_start(v), graph.neighbor_end(v))
+            }
+        }
+    }
+
+    /// The edge-list byte ranges a launch over this list reads, for
+    /// transfer planning: one per work item, except that a vertex range
+    /// reads one dense span.
+    pub(crate) fn edge_bytes<'g>(
+        self,
+        graph: &'g CsrGraph,
+        elem_bytes: u64,
+    ) -> impl Iterator<Item = (u64, u64)> + 'g
+    where
+        Self: 'g,
+    {
+        let spans = match self {
+            WorkList::Range(lo, hi) => usize::from(lo < hi),
+            _ => self.len(),
+        };
+        (0..spans).map(move |i| {
+            let (lo, hi) = match self {
+                WorkList::Range(lo, hi) => (graph.neighbor_start(lo), graph.neighbor_end(hi - 1)),
+                _ => self.item_range(graph, i),
+            };
+            (lo * elem_bytes, hi * elem_bytes)
+        })
     }
 }
 
@@ -136,12 +170,12 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
     }
 
     /// Build one launch over `work` with **pre-captured** contexts,
-    /// parallel to the work list. The sharded engine uses this: in a
-    /// multi-device iteration every shard's contexts must be captured
-    /// *before any shard's kernel runs* — capturing lazily per shard
-    /// would let an earlier shard's updates leak into a later shard's
-    /// iteration-start state, breaking bit-identity with the
-    /// single-device engine.
+    /// parallel to the work list. The iteration driver uses this: in a
+    /// multi-device iteration every device's contexts must be captured
+    /// *before any device's kernel runs* — capturing lazily per device
+    /// would let an earlier device's updates leak into a later device's
+    /// iteration-start state, breaking bit-identity with a single
+    /// device.
     // Like the batch kernel: one borrow per engine-owned resource.
     #[allow(clippy::too_many_arguments)]
     pub fn with_ctxs(
@@ -162,7 +196,7 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
         }
         assert_eq!(ctxs.len(), work.len(), "one context per work item");
         let source_status = program.reads_source_status();
-        let collect_activations = matches!(work, WorkList::Frontier(_) | WorkList::Slices(_));
+        let collect_activations = !matches!(work, WorkList::Range(..));
         Self {
             graph,
             layout,
@@ -176,21 +210,6 @@ impl<'a, P: VertexProgram> ProgramKernel<'a, P> {
             edge_data,
             source_status,
             collect_activations,
-        }
-    }
-
-    /// The edge-list element range work item `i` walks: the vertex's
-    /// whole neighbour list, or the explicit slice of a split one.
-    fn item_range(&self, i: usize) -> (u64, u64) {
-        match self.work {
-            WorkList::Slices(s) => {
-                let (_, lo, hi) = s[i];
-                (lo, hi)
-            }
-            _ => {
-                let v = self.work.get(i);
-                (self.graph.neighbor_start(v), self.graph.neighbor_end(v))
-            }
         }
     }
 
@@ -249,7 +268,7 @@ impl<P: VertexProgram> Kernel for ProgramKernel<'_, P> {
         if self.strategy.warp_per_vertex() {
             let v = self.work.get(self.pos);
             let ctx = self.ctxs[self.pos];
-            let range = self.item_range(self.pos);
+            let range = self.work.item_range(self.graph, self.pos);
             self.pos += 1;
             Some(ProgramTask::Warp {
                 v,
@@ -261,7 +280,9 @@ impl<P: VertexProgram> Kernel for ProgramKernel<'_, P> {
             let hi = (self.pos + WARP_SIZE).min(n);
             let vs: Vec<VertexId> = (self.pos..hi).map(|i| self.work.get(i)).collect();
             let ctxs = self.ctxs[self.pos..hi].to_vec();
-            let ranges: Vec<(u64, u64)> = (self.pos..hi).map(|i| self.item_range(i)).collect();
+            let ranges: Vec<(u64, u64)> = (self.pos..hi)
+                .map(|i| self.work.item_range(self.graph, i))
+                .collect();
             self.pos = hi;
             Some(ProgramTask::Lanes {
                 vs,
@@ -365,9 +386,6 @@ mod tests {
         let wl = WorkList::Frontier(&f);
         assert_eq!(wl.len(), 3);
         assert_eq!(wl.get(2), 11);
-        let all = WorkList::All(5);
-        assert_eq!(all.len(), 5);
-        assert_eq!(all.get(4), 4);
         let range = WorkList::Range(7, 12);
         assert_eq!(range.len(), 5);
         assert_eq!(range.get(0), 7);

@@ -71,6 +71,7 @@ pub mod batch;
 pub mod bfs;
 pub mod cc;
 pub mod compressed;
+mod driver;
 pub mod engine;
 pub mod kernel;
 pub mod layout;
@@ -86,7 +87,7 @@ pub mod walk;
 pub use batch::{BatchKernel, BatchRun, MAX_BATCH_QUERIES};
 pub use bfs::{BfsOutput, BfsProgram};
 pub use cc::{CcOutput, CcProgram};
-pub use engine::{BfsRun, CcRun, Engine, EngineConfig, PageRankRun, Run, SsspRun, TraversalConfig};
+pub use engine::{BfsRun, CcRun, Engine, EngineConfig, PageRankRun, Run, SsspRun};
 pub use kernel::{ProgramKernel, WorkList};
 pub use layout::{EdgePlacement, GraphLayout};
 pub use pagerank::{PageRankOutput, PageRankProgram};

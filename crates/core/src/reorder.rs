@@ -11,9 +11,9 @@
 //!
 //! # Determinism
 //!
-//! Reordering happens in the *driver loop*, before kernel construction,
-//! and is a pure function of iteration-start state: the frontier (or
-//! merged batch union, or per-device slice list), the immutable
+//! Reordering happens in the iteration driver, before kernel
+//! construction, and is a pure function of iteration-start state: the
+//! per-device work items (or merged batch union), the immutable
 //! [`GraphLayout`] and a fixed segment size. [`segment_key`] is the
 //! kernel-purity hook emogi-lint audits — its body may read only the
 //! layout's address arithmetic, never live machine state, so the sort
@@ -38,25 +38,12 @@ pub fn segment_key(layout: &GraphLayout, start: u64, segment_bytes: u64) -> (u64
     (addr / segment_bytes.max(1), addr)
 }
 
-/// Sort a frontier by the cache segment of each vertex's neighbour-list
-/// start, ties broken by address then vertex id. Call at the top of an
-/// iteration, before kernel construction.
-pub fn reorder_frontier(
-    layout: &GraphLayout,
-    graph: &CsrGraph,
-    frontier: &mut [VertexId],
-    segment_bytes: u64,
-) {
-    frontier.sort_by_key(|&v| {
-        let (seg, addr) = segment_key(layout, graph.neighbor_start(v), segment_bytes);
-        (seg, addr, v)
-    });
-}
-
-/// Lockstep variant for batched execution: permute the merged frontier
-/// `union` and its per-vertex membership `masks` together, preserving
-/// the `union[i] ↔ masks[i]` pairing the [`BatchKernel`](crate::batch::BatchKernel)
-/// relies on.
+/// Batched execution: sort the merged frontier `union` by the cache
+/// segment of each vertex's neighbour-list start, ties broken by address
+/// then vertex id, permuting its per-vertex membership `masks` in
+/// lockstep — the `union[i] ↔ masks[i]` pairing the
+/// [`BatchKernel`](crate::batch::BatchKernel) relies on. The order is
+/// [`reorder_slices`]' order on the union's unsplit work items.
 pub fn reorder_union(
     layout: &GraphLayout,
     graph: &CsrGraph,
@@ -77,9 +64,10 @@ pub fn reorder_union(
     *masks = permuted_masks;
 }
 
-/// Sharded variant: sort one device's work slices `(vertex, lo, hi)` by
-/// the cache segment of each slice's first edge-list element. Hub
-/// splitting can hand a device several slices of one vertex; the
+/// Sort one device's work slices `(vertex, lo, hi)` by the cache segment
+/// of each slice's first edge-list element, ties broken by address then
+/// vertex. Call at the top of an iteration, before kernel construction.
+/// Hub splitting can hand a device several slices of one vertex; the
 /// per-slice `lo` keeps those distinct and address-ordered.
 pub fn reorder_slices(
     layout: &GraphLayout,
@@ -127,21 +115,40 @@ mod tests {
     }
 
     #[test]
-    fn reorder_frontier_is_a_permutation_in_segment_order() {
+    fn reorder_slices_is_a_permutation_in_segment_order() {
         let g = generators::uniform_random(500, 6, 3);
         let l = layout_for(&g);
-        let mut frontier: Vec<VertexId> = (0..500).rev().collect();
-        let mut expected = frontier.clone();
+        let mut items: Vec<(VertexId, u64, u64)> = (0..500u32)
+            .rev()
+            .map(|v| (v, g.neighbor_start(v), g.neighbor_end(v)))
+            .collect();
+        let mut expected = items.clone();
         expected.sort_unstable();
-        reorder_frontier(&l, &g, &mut frontier, 4096);
-        let mut sorted = frontier.clone();
+        reorder_slices(&l, &mut items, 4096);
+        let mut sorted = items.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, expected, "reorder permutes, never drops");
-        for w in frontier.windows(2) {
-            let ka = segment_key(&l, g.neighbor_start(w[0]), 4096);
-            let kb = segment_key(&l, g.neighbor_start(w[1]), 4096);
+        for w in items.windows(2) {
+            let ka = segment_key(&l, w[0].1, 4096);
+            let kb = segment_key(&l, w[1].1, 4096);
             assert!(ka <= kb, "non-decreasing segment keys");
         }
+    }
+
+    #[test]
+    fn reorder_union_orders_like_unsplit_slices() {
+        let g = generators::uniform_random(300, 6, 11);
+        let l = layout_for(&g);
+        let mut union: Vec<VertexId> = (0..300).rev().collect();
+        let mut masks = vec![1u64; union.len()];
+        let mut items: Vec<(VertexId, u64, u64)> = union
+            .iter()
+            .map(|&v| (v, g.neighbor_start(v), g.neighbor_end(v)))
+            .collect();
+        reorder_union(&l, &g, &mut union, &mut masks, 2048);
+        reorder_slices(&l, &mut items, 2048);
+        let order: Vec<VertexId> = items.iter().map(|it| it.0).collect();
+        assert_eq!(union, order);
     }
 
     #[test]

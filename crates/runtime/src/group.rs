@@ -17,8 +17,7 @@
 //! one-device sharded run stay tick-for-tick identical to a
 //! single-machine run.
 
-use crate::machine::{Machine, MachineConfig, Snapshot};
-use crate::report::RunStats;
+use crate::machine::{Machine, MachineConfig};
 use emogi_sim::interconnect::{Interconnect, InterconnectConfig, PeerLinkConfig};
 use emogi_sim::time::Time;
 
@@ -92,55 +91,49 @@ impl DeviceGroup {
         self.machines.len()
     }
 
-    /// Align every device's clock to the group maximum and return it.
-    /// A single-device group is untouched.
+    /// Align every device's clock to the group maximum and return it
+    /// (see [`barrier`]).
     pub fn barrier(&mut self) -> Time {
-        let t = self.machines.iter().map(|m| m.now).max().unwrap_or(0);
-        for m in &mut self.machines {
-            m.now = t;
-        }
-        t
+        barrier(&mut self.machines)
     }
 
-    /// Iteration-end exchange: barrier, then every device broadcasts
-    /// `bytes[d]` to each of its peers over the interconnect (via
-    /// [`Interconnect::broadcast`], which stages a host-routed payload
-    /// once), and all clocks advance to the last delivery. Returns the
-    /// post-exchange time. A single-device group is a no-op (no
-    /// barrier, no traffic, clocks untouched).
+    /// Iteration-end exchange over the group's interconnect (see
+    /// [`exchange`]).
     pub fn exchange(&mut self, bytes: &[u64]) -> Time {
-        assert_eq!(bytes.len(), self.machines.len(), "one payload per device");
-        if self.machines.len() <= 1 {
-            return self.machines[0].now;
-        }
-        let start = self.barrier();
-        let mut done = start;
-        for (src, &payload) in bytes.iter().enumerate() {
-            done = done.max(self.interconnect.broadcast(src, start, payload));
-        }
-        for m in &mut self.machines {
-            m.now = done;
-        }
-        done
+        exchange(&mut self.machines, &mut self.interconnect, bytes)
     }
+}
 
-    /// Begin a measured run on every device.
-    pub fn snapshots(&self) -> Vec<Snapshot> {
-        self.machines.iter().map(|m| m.snapshot()).collect()
+/// Align every machine's clock to the maximum and return it. A single
+/// machine is untouched.
+pub fn barrier(machines: &mut [Machine]) -> Time {
+    let t = machines.iter().map(|m| m.now).max().unwrap_or(0);
+    for m in machines.iter_mut() {
+        m.now = t;
     }
+    t
+}
 
-    /// Close a measured run: per-device stats diffed against `snaps`,
-    /// with `launches[d]` kernel launches attributed to device `d`.
-    pub fn finish_run(&self, snaps: &[Snapshot], launches: &[u64]) -> Vec<RunStats> {
-        assert_eq!(snaps.len(), self.machines.len());
-        assert_eq!(launches.len(), self.machines.len());
-        self.machines
-            .iter()
-            .zip(snaps)
-            .zip(launches)
-            .map(|((m, s), &l)| m.finish_run(s, l))
-            .collect()
+/// Iteration-end exchange: barrier, then every device broadcasts
+/// `bytes[d]` to each of its peers over `interconnect` (via
+/// [`Interconnect::broadcast`], which stages a host-routed payload
+/// once), and all clocks advance to the last delivery. Returns the
+/// post-exchange time. A single device is a no-op (no barrier, no
+/// traffic, clock untouched).
+pub fn exchange(machines: &mut [Machine], interconnect: &mut Interconnect, bytes: &[u64]) -> Time {
+    assert_eq!(bytes.len(), machines.len(), "one payload per device");
+    if machines.len() <= 1 {
+        return machines[0].now;
     }
+    let start = barrier(machines);
+    let mut done = start;
+    for (src, &payload) in bytes.iter().enumerate() {
+        done = done.max(interconnect.broadcast(src, start, payload));
+    }
+    for m in machines.iter_mut() {
+        m.now = done;
+    }
+    done
 }
 
 #[cfg(test)]

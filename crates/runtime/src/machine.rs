@@ -8,7 +8,7 @@ use emogi_gpu::config::{GpuConfig, GpuPreset};
 use emogi_sim::cxl::{CxlConfig, CxlLink};
 use emogi_sim::dma::{DmaEngine, MEMCPY_LAUNCH_OVERHEAD_NS};
 use emogi_sim::dram::{Dram, DramConfig};
-use emogi_sim::monitor::{SizeHistogram, TrafficMonitor};
+use emogi_sim::monitor::TrafficMonitor;
 use emogi_sim::pcie::{PcieConfig, PcieGen, PcieLink};
 use emogi_sim::time::Time;
 use emogi_uvm::{UvmConfig, UvmDriver};
@@ -132,25 +132,6 @@ pub struct Machine {
     /// transaction sizes). `lane_bytes / txn_bytes` is the coalescing
     /// efficiency the layout experiments report.
     pub txn_bytes: u64,
-}
-
-/// Scalar counter snapshot used to diff per-run statistics.
-#[derive(Debug, Clone)]
-pub struct Snapshot {
-    at: Time,
-    reads: u64,
-    sizes: SizeHistogram,
-    zero_copy: u64,
-    dma: u64,
-    dram_read: u64,
-    faults: u64,
-    migrated: u64,
-    l2_hits: u64,
-    l2_misses: u64,
-    lane_bytes: u64,
-    txn_bytes: u64,
-    cxl_reads: u64,
-    cxl_bytes: u64,
 }
 
 impl Machine {
@@ -296,72 +277,41 @@ impl Machine {
         );
     }
 
-    /// Begin a measured run (BFS/SSSP/CC execution).
-    pub fn snapshot(&self) -> Snapshot {
-        let (faults, migrated) = self
+    /// The machine's lifetime counters, as a [`RunStats`] whose
+    /// `elapsed_ns` is the current clock. Take one before a measured span
+    /// and close the span with [`finish_run`](Self::finish_run). The
+    /// transfer and prefetch counters are zero: their owners live outside
+    /// the machine and fill them in.
+    pub fn snapshot(&self) -> RunStats {
+        let (page_faults, pages_migrated) = self
             .uvm
             .as_ref()
             .map(|u| (u.stats.faults, u.stats.pages_migrated))
             .unwrap_or((0, 0));
-        Snapshot {
-            at: self.now,
-            reads: self.monitor.read_requests,
-            sizes: self.monitor.sizes.clone(),
-            zero_copy: self.monitor.zero_copy_bytes,
-            dma: self.monitor.dma_bytes,
-            dram_read: self.host_dram.bytes_read,
-            faults,
-            migrated,
-            l2_hits: self.cache.stats.sector_hits,
-            l2_misses: self.cache.stats.sector_misses,
+        RunStats {
+            elapsed_ns: self.now,
+            pcie_read_requests: self.monitor.read_requests,
+            request_sizes: self.monitor.sizes.clone(),
+            host_bytes: self.monitor.zero_copy_bytes + self.monitor.dma_bytes,
+            page_faults,
+            pages_migrated,
+            host_dram_bytes: self.host_dram.bytes_read,
+            l2_sector_hits: self.cache.stats.sector_hits,
+            l2_sector_misses: self.cache.stats.sector_misses,
             lane_bytes: self.lane_bytes,
             txn_bytes: self.txn_bytes,
-            cxl_reads: self.cxl.as_ref().map_or(0, |c| c.read_requests),
+            cxl_read_requests: self.cxl.as_ref().map_or(0, |c| c.read_requests),
             cxl_bytes: self.cxl.as_ref().map_or(0, CxlLink::total_bytes),
+            ..RunStats::default()
         }
     }
 
-    /// Close a measured run, diffing counters against `base`.
-    pub fn finish_run(&self, base: &Snapshot, kernel_launches: u64) -> RunStats {
-        let elapsed = self.now - base.at;
-        let mut sizes = self.monitor.sizes.clone();
-        for (b, old) in sizes.buckets.iter_mut().zip(base.sizes.buckets) {
-            *b -= old;
-        }
-        sizes.other -= base.sizes.other;
-        let (faults, migrated) = self
-            .uvm
-            .as_ref()
-            .map(|u| (u.stats.faults, u.stats.pages_migrated))
-            .unwrap_or((0, 0));
-        let host_bytes =
-            (self.monitor.zero_copy_bytes - base.zero_copy) + (self.monitor.dma_bytes - base.dma);
+    /// Close a measured span: the counters accrued since `base` (a
+    /// [`snapshot`](Self::snapshot)), with `kernel_launches` launches.
+    pub fn finish_run(&self, base: &RunStats, kernel_launches: u64) -> RunStats {
         RunStats {
-            elapsed_ns: elapsed,
             kernel_launches,
-            pcie_read_requests: self.monitor.read_requests - base.reads,
-            request_sizes: sizes,
-            host_bytes,
-            avg_pcie_gbps: if elapsed == 0 {
-                0.0
-            } else {
-                host_bytes as f64 / elapsed as f64
-            },
-            page_faults: faults - base.faults,
-            pages_migrated: migrated - base.migrated,
-            host_dram_bytes: self.host_dram.bytes_read - base.dram_read,
-            l2_sector_hits: self.cache.stats.sector_hits - base.l2_hits,
-            l2_sector_misses: self.cache.stats.sector_misses - base.l2_misses,
-            lane_bytes: self.lane_bytes - base.lane_bytes,
-            txn_bytes: self.txn_bytes - base.txn_bytes,
-            cxl_read_requests: self.cxl.as_ref().map_or(0, |c| c.read_requests) - base.cxl_reads,
-            cxl_bytes: self.cxl.as_ref().map_or(0, CxlLink::total_bytes) - base.cxl_bytes,
-            // The transfer manager and prefetcher live outside the
-            // machine; whoever owns them (the engine) overwrites these
-            // with the per-run diffs.
-            transfer: crate::transfer::TransferStats::default(),
-            prefetch: crate::prefetch::PrefetchStats::default(),
-            shared_fetch: false,
+            ..self.snapshot().since(base)
         }
     }
 }

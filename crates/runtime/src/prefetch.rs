@@ -88,23 +88,6 @@ pub struct PrefetchStats {
     pub hidden_ns: u64,
 }
 
-impl std::ops::Sub for PrefetchStats {
-    type Output = PrefetchStats;
-
-    /// Diff two snapshots of the (monotonically growing) counters.
-    fn sub(self, base: PrefetchStats) -> PrefetchStats {
-        PrefetchStats {
-            prefetched_regions: self.prefetched_regions - base.prefetched_regions,
-            prefetched_bytes: self.prefetched_bytes - base.prefetched_bytes,
-            hit_regions: self.hit_regions - base.hit_regions,
-            hit_bytes: self.hit_bytes - base.hit_bytes,
-            wasted_bytes: self.wasted_bytes - base.wasted_bytes,
-            stall_ns: self.stall_ns - base.stall_ns,
-            hidden_ns: self.hidden_ns - base.hidden_ns,
-        }
-    }
-}
-
 impl std::ops::AddAssign for PrefetchStats {
     /// Accumulate per-run diffs (across queries, devices, iterations).
     fn add_assign(&mut self, other: PrefetchStats) {

@@ -127,67 +127,93 @@ impl RunStats {
         }
     }
 
+    /// Counters accrued since `base`, an earlier snapshot of the same
+    /// monotonic counters (see [`Machine::snapshot`]): every field is
+    /// the difference, and the average bandwidth is re-derived.
+    ///
+    /// [`Machine::snapshot`]: crate::Machine::snapshot
+    pub fn since(&self, base: &RunStats) -> RunStats {
+        let mut diff = self.clone();
+        diff.combine(base, |a, b| a - b, |a, b| a - b);
+        diff
+    }
+
     /// Fold one iteration's measurements into a running per-query total
     /// (batched execution attributes each iteration's machine diff to
-    /// every query active in it). Counters add, the size histogram
-    /// merges, and the average bandwidth is re-derived from the summed
-    /// bytes and time.
+    /// every query active in it). Every field adds, and the average
+    /// bandwidth is re-derived from the summed bytes and time.
     pub fn accumulate(&mut self, iteration: &RunStats) {
-        self.elapsed_ns += iteration.elapsed_ns;
-        self.kernel_launches += iteration.kernel_launches;
-        self.pcie_read_requests += iteration.pcie_read_requests;
-        self.request_sizes.merge(&iteration.request_sizes);
-        self.host_bytes += iteration.host_bytes;
-        self.page_faults += iteration.page_faults;
-        self.pages_migrated += iteration.pages_migrated;
-        self.host_dram_bytes += iteration.host_dram_bytes;
-        self.l2_sector_hits += iteration.l2_sector_hits;
-        self.l2_sector_misses += iteration.l2_sector_misses;
-        self.lane_bytes += iteration.lane_bytes;
-        self.txn_bytes += iteration.txn_bytes;
-        self.cxl_read_requests += iteration.cxl_read_requests;
-        self.cxl_bytes += iteration.cxl_bytes;
-        self.transfer += iteration.transfer;
-        self.prefetch += iteration.prefetch;
-        self.avg_pcie_gbps = if self.elapsed_ns == 0 {
-            0.0
-        } else {
-            self.host_bytes as f64 / self.elapsed_ns as f64
-        };
+        self.combine(iteration, |a, b| a + b, |a, b| a + b);
     }
 
     /// Fold the per-device stats of one multi-GPU run into a group
     /// total. The devices ran *concurrently*, so elapsed time is the
     /// maximum (the devices' clocks are barrier-aligned each iteration);
-    /// every traffic counter sums across links, the size histograms
-    /// merge, and the average bandwidth is re-derived as aggregate bytes
-    /// over the shared wall clock.
+    /// every counter sums across devices, and the average bandwidth is
+    /// re-derived as aggregate bytes over the shared wall clock.
     pub fn aggregate_concurrent(per_device: &[RunStats]) -> RunStats {
         let mut total = RunStats::default();
         for s in per_device {
-            total.elapsed_ns = total.elapsed_ns.max(s.elapsed_ns);
-            total.kernel_launches += s.kernel_launches;
-            total.pcie_read_requests += s.pcie_read_requests;
-            total.request_sizes.merge(&s.request_sizes);
-            total.host_bytes += s.host_bytes;
-            total.page_faults += s.page_faults;
-            total.pages_migrated += s.pages_migrated;
-            total.host_dram_bytes += s.host_dram_bytes;
-            total.l2_sector_hits += s.l2_sector_hits;
-            total.l2_sector_misses += s.l2_sector_misses;
-            total.lane_bytes += s.lane_bytes;
-            total.txn_bytes += s.txn_bytes;
-            total.cxl_read_requests += s.cxl_read_requests;
-            total.cxl_bytes += s.cxl_bytes;
-            total.transfer += s.transfer;
-            total.prefetch += s.prefetch;
+            total.combine(s, Time::max, |a, b| a + b);
         }
-        total.avg_pcie_gbps = if total.elapsed_ns == 0 {
+        total
+    }
+
+    /// Field-wise combination with `other`: `elapsed` folds the clock,
+    /// `counter` every counter; `avg_pcie_gbps` is re-derived and
+    /// `shared_fetch` keeps `self`'s value.
+    fn combine(
+        &mut self,
+        other: &RunStats,
+        elapsed: fn(Time, Time) -> Time,
+        counter: fn(u64, u64) -> u64,
+    ) {
+        self.elapsed_ns = elapsed(self.elapsed_ns, other.elapsed_ns);
+        let [b32, b64, b96, b128] = &mut self.request_sizes.buckets;
+        let (t, ot) = (&mut self.transfer, &other.transfer);
+        let (p, op) = (&mut self.prefetch, &other.prefetch);
+        // The one list of counters: a new counter is one field above
+        // plus one entry here.
+        for (a, b) in [
+            (&mut self.kernel_launches, other.kernel_launches),
+            (&mut self.pcie_read_requests, other.pcie_read_requests),
+            (b32, other.request_sizes.buckets[0]),
+            (b64, other.request_sizes.buckets[1]),
+            (b96, other.request_sizes.buckets[2]),
+            (b128, other.request_sizes.buckets[3]),
+            (&mut self.request_sizes.other, other.request_sizes.other),
+            (&mut self.host_bytes, other.host_bytes),
+            (&mut self.page_faults, other.page_faults),
+            (&mut self.pages_migrated, other.pages_migrated),
+            (&mut self.host_dram_bytes, other.host_dram_bytes),
+            (&mut self.l2_sector_hits, other.l2_sector_hits),
+            (&mut self.l2_sector_misses, other.l2_sector_misses),
+            (&mut self.lane_bytes, other.lane_bytes),
+            (&mut self.txn_bytes, other.txn_bytes),
+            (&mut self.cxl_read_requests, other.cxl_read_requests),
+            (&mut self.cxl_bytes, other.cxl_bytes),
+            (&mut t.staged_regions, ot.staged_regions),
+            (&mut t.staged_bytes, ot.staged_bytes),
+            (&mut t.pool_fallbacks, ot.pool_fallbacks),
+            (&mut t.staging_rounds, ot.staging_rounds),
+            (&mut t.cxl_staged_regions, ot.cxl_staged_regions),
+            (&mut t.cxl_staged_bytes, ot.cxl_staged_bytes),
+            (&mut t.demoted_regions, ot.demoted_regions),
+            (&mut p.prefetched_regions, op.prefetched_regions),
+            (&mut p.prefetched_bytes, op.prefetched_bytes),
+            (&mut p.hit_regions, op.hit_regions),
+            (&mut p.hit_bytes, op.hit_bytes),
+            (&mut p.wasted_bytes, op.wasted_bytes),
+            (&mut p.stall_ns, op.stall_ns),
+            (&mut p.hidden_ns, op.hidden_ns),
+        ] {
+            *a = counter(*a, b);
+        }
+        self.avg_pcie_gbps = if self.elapsed_ns == 0 {
             0.0
         } else {
-            total.host_bytes as f64 / total.elapsed_ns as f64
+            self.host_bytes as f64 / self.elapsed_ns as f64
         };
-        total
     }
 }
 

@@ -123,24 +123,6 @@ pub struct TransferStats {
     pub demoted_regions: u64,
 }
 
-impl std::ops::Sub for TransferStats {
-    type Output = TransferStats;
-
-    /// Diff two snapshots of the (monotonically growing) counters, for
-    /// per-run reporting.
-    fn sub(self, base: TransferStats) -> TransferStats {
-        TransferStats {
-            staged_regions: self.staged_regions - base.staged_regions,
-            staged_bytes: self.staged_bytes - base.staged_bytes,
-            pool_fallbacks: self.pool_fallbacks - base.pool_fallbacks,
-            staging_rounds: self.staging_rounds - base.staging_rounds,
-            cxl_staged_regions: self.cxl_staged_regions - base.cxl_staged_regions,
-            cxl_staged_bytes: self.cxl_staged_bytes - base.cxl_staged_bytes,
-            demoted_regions: self.demoted_regions - base.demoted_regions,
-        }
-    }
-}
-
 impl std::ops::AddAssign for TransferStats {
     /// Accumulate per-run diffs (e.g. across the queries of a scenario).
     fn add_assign(&mut self, other: TransferStats) {
@@ -779,7 +761,11 @@ mod tests {
             cxl_staged_bytes: 100,
             demoted_regions: 0,
         };
-        let d = a - b;
+        let run = |transfer| crate::RunStats {
+            transfer,
+            ..Default::default()
+        };
+        let d = run(a).since(&run(b)).transfer;
         assert_eq!(d.staged_regions, 2);
         assert_eq!(d.staged_bytes, 200);
         let mut acc = TransferStats::default();
