@@ -34,9 +34,6 @@ pub struct ExecutedBatch {
     pub elapsed_ns: u64,
     /// Host→GPU payload bytes (shared fetches counted once).
     pub host_bytes: u64,
-    /// Whether the members shared fetches (one merged-frontier kernel
-    /// run); drives [`ServerStats::batched_queries`](crate::ServerStats::batched_queries).
-    pub shared: bool,
 }
 
 /// What a server needs from an execution engine. Implementations must
@@ -91,7 +88,6 @@ impl<'g> ServeBackend for Engine<'g> {
                     results: out.runs.into_iter().map(QueryResult::Bfs).collect(),
                     elapsed_ns: out.stats.elapsed_ns,
                     host_bytes: out.stats.host_bytes,
-                    shared: true,
                 }
             }
             QueryKind::Sssp => {
@@ -107,7 +103,6 @@ impl<'g> ServeBackend for Engine<'g> {
                     results: out.runs.into_iter().map(QueryResult::Sssp).collect(),
                     elapsed_ns: out.stats.elapsed_ns,
                     host_bytes: out.stats.host_bytes,
-                    shared: true,
                 }
             }
             // Full-sweep kinds arrive in batches of one (the scheduler
@@ -135,8 +130,9 @@ impl<'g> ServeBackend for ShardedEngine<'g> {
     }
 
     /// Every query runs solo, sharded across the full device group —
-    /// this path shares devices, not fetches, so `shared` stays false
-    /// and [`ServerStats::batched_queries`](crate::ServerStats::batched_queries)
+    /// this path shares devices, not fetches, so no result is flagged
+    /// [`shared_fetch`](emogi_runtime::RunStats::shared_fetch) and
+    /// [`ServerStats::batched_queries`](crate::ServerStats::batched_queries)
     /// stays zero.
     fn execute(&mut self, _kind: QueryKind, entries: &[Pending]) -> ExecutedBatch {
         solo_sweeps(entries, |spec| match spec {
@@ -194,6 +190,5 @@ fn solo_sweeps(
         results,
         elapsed_ns,
         host_bytes,
-        shared: false,
     }
 }

@@ -88,7 +88,9 @@ pub struct ServerStats {
     pub deadline_met: u64,
     /// Batches executed (a solo query still counts as one batch).
     pub batches: u64,
-    /// Queries that shared their batch with at least one other query.
+    /// Queries whose edge fetches were shared with at least one other
+    /// query (results flagged
+    /// [`shared_fetch`](emogi_runtime::RunStats::shared_fetch)).
     pub batched_queries: u64,
     /// Simulated time spent executing batches, ns.
     pub busy_ns: u64,
@@ -366,9 +368,11 @@ impl<B: ServeBackend> Server<B> {
             self.stats.batches += 1;
             self.stats.busy_ns += exec.elapsed_ns;
             self.stats.host_bytes += exec.host_bytes;
-            if exec.shared && live.len() > 1 {
-                self.stats.batched_queries += live.len() as u64;
-            }
+            self.stats.batched_queries += exec
+                .results
+                .iter()
+                .filter(|r| r.stats().shared_fetch)
+                .count() as u64;
             let completed_ns = self.clock_ns;
             for (p, result) in live.into_iter().zip(exec.results) {
                 executed += 1;
@@ -581,6 +585,28 @@ mod tests {
             !s.take(c).unwrap().stats().shared_fetch,
             "a batch of one shares its fetches with nobody"
         );
+    }
+
+    #[test]
+    fn queries_a_batch_served_solo_are_not_counted_as_batched() {
+        // After its first kernel a UVM engine cannot allocate batch
+        // status arrays, so `run_batch` serves a two-query batch as two
+        // solo runs: nothing was shared, and nothing counts as batched.
+        let g = generators::uniform_random(400, 6, 2);
+        let mut s = QueryServer::new(
+            ServerConfig::default(),
+            Engine::load(EngineConfig::uvm_v100(), &g),
+        );
+        let warm = s.submit(Query::bfs(0)).unwrap();
+        s.run_pending();
+        assert!(s.take(warm).is_some());
+        let a = s.submit(Query::bfs(3)).unwrap();
+        let b = s.submit(Query::bfs(9)).unwrap();
+        s.run_pending();
+        assert_eq!(s.stats().batches, 2, "the pair still ran as one batch");
+        assert!(!s.take(a).unwrap().stats().shared_fetch);
+        assert!(!s.take(b).unwrap().stats().shared_fetch);
+        assert_eq!(s.stats().batched_queries, 0);
     }
 
     #[test]
