@@ -4,16 +4,12 @@
 //! A [`DeviceGroup`] is the multi-GPU analogue of a single [`Machine`]:
 //! each device keeps its own PCIe link, cache, HBM, DMA engine and
 //! address spaces (the per-link independence that makes EMOGI's
-//! multi-GPU traversal scale), while the group supplies the two
-//! primitives sharded execution needs between iterations:
+//! multi-GPU traversal scale), while the group's interconnect carries
+//! the iteration-end [`exchange`]: align every device's clock to the
+//! group maximum, broadcast each device's update payload to every peer,
+//! then advance all clocks to the last delivery.
 //!
-//! * [`barrier`](DeviceGroup::barrier) — align every device's clock to
-//!   the group maximum (the iteration-end synchronization point);
-//! * [`exchange`](DeviceGroup::exchange) — broadcast each device's
-//!   update payload to every peer over the interconnect, then advance
-//!   all clocks to the last delivery.
-//!
-//! With one device both primitives are no-ops, which is what lets a
+//! With one device the exchange is a no-op, which is what lets a
 //! one-device sharded run stay tick-for-tick identical to a
 //! single-machine run.
 
@@ -90,23 +86,11 @@ impl DeviceGroup {
     pub fn num_devices(&self) -> usize {
         self.machines.len()
     }
-
-    /// Align every device's clock to the group maximum and return it
-    /// (see [`barrier`]).
-    pub fn barrier(&mut self) -> Time {
-        barrier(&mut self.machines)
-    }
-
-    /// Iteration-end exchange over the group's interconnect (see
-    /// [`exchange`]).
-    pub fn exchange(&mut self, bytes: &[u64]) -> Time {
-        exchange(&mut self.machines, &mut self.interconnect, bytes)
-    }
 }
 
 /// Align every machine's clock to the maximum and return it. A single
 /// machine is untouched.
-pub fn barrier(machines: &mut [Machine]) -> Time {
+fn barrier(machines: &mut [Machine]) -> Time {
     let t = machines.iter().map(|m| m.now).max().unwrap_or(0);
     for m in machines.iter_mut() {
         m.now = t;
@@ -156,7 +140,7 @@ mod tests {
         g.machines[0].now = 100;
         g.machines[1].now = 700;
         g.machines[2].now = 300;
-        assert_eq!(g.barrier(), 700);
+        assert_eq!(barrier(&mut g.machines), 700);
         assert!(g.machines.iter().all(|m| m.now == 700));
     }
 
@@ -164,7 +148,7 @@ mod tests {
     fn exchange_broadcasts_and_advances_all_clocks() {
         let mut g = DeviceGroup::new(DeviceGroupConfig::v100_gen3(2));
         g.machines[0].now = 1_000;
-        let t = g.exchange(&[1 << 20, 0]);
+        let t = exchange(&mut g.machines, &mut g.interconnect, &[1 << 20, 0]);
         assert!(t > 1_000, "exchange takes wire time");
         assert!(g.machines.iter().all(|m| m.now == t));
         assert_eq!(g.interconnect.totals().bytes, 1 << 20);
@@ -174,7 +158,7 @@ mod tests {
     fn single_device_exchange_is_a_no_op() {
         let mut g = DeviceGroup::new(DeviceGroupConfig::v100_gen3(1));
         g.machines[0].now = 42;
-        assert_eq!(g.exchange(&[999]), 42);
+        assert_eq!(exchange(&mut g.machines, &mut g.interconnect, &[999]), 42);
         assert_eq!(g.machines[0].now, 42);
         assert_eq!(g.interconnect.totals().bytes, 0);
     }
@@ -183,7 +167,7 @@ mod tests {
     fn host_routed_exchange_works_without_a_peer_link() {
         let mut g = DeviceGroup::new(DeviceGroupConfig::v100_gen3(2).without_peer());
         assert!(!g.interconnect.has_peer());
-        let t = g.exchange(&[4096, 4096]);
+        let t = exchange(&mut g.machines, &mut g.interconnect, &[4096, 4096]);
         assert!(t > 0);
         // Each payload hops twice (up + down), so totals double-count.
         assert_eq!(g.interconnect.totals().bytes, 4 * 4096);
