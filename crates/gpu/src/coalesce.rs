@@ -292,6 +292,141 @@ mod tests {
         assert!(coalesce(&b).is_empty());
     }
 
+    /// The struct-key coalescer the packed one replaced, kept verbatim as
+    /// the order oracle for [`matches_the_struct_key_reference`].
+    mod reference {
+        use super::super::{
+            rank_space, space_rank, LaneAccess, Transaction, LINE_BYTES, SECTORS_PER_LINE_U64,
+            SECTOR_BYTES,
+        };
+
+        #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+        struct EntryKey {
+            space_rank: u8,
+            store: bool,
+            instr: u8,
+            line: u64,
+        }
+
+        pub fn coalesce(accesses: &[LaneAccess]) -> Vec<Transaction> {
+            let mut entries: Vec<(EntryKey, u8)> = Vec::new();
+            for a in accesses {
+                if a.size == 0 {
+                    continue;
+                }
+                let first_sector = a.addr / SECTOR_BYTES;
+                let last_sector = (a.addr + u64::from(a.size) - 1) / SECTOR_BYTES;
+                for s in first_sector..=last_sector {
+                    let key = EntryKey {
+                        space_rank: space_rank(a.space),
+                        store: a.store,
+                        instr: a.instr,
+                        line: (s * SECTOR_BYTES) & !(LINE_BYTES - 1),
+                    };
+                    entries.push((key, 1u8 << (s % SECTORS_PER_LINE_U64)));
+                }
+            }
+            entries.sort_unstable_by_key(|(k, _)| *k);
+            let mut out = Vec::new();
+            let mut i = 0;
+            while i < entries.len() {
+                let (key, mut mask) = entries[i];
+                let mut j = i + 1;
+                while j < entries.len() && entries[j].0 == key {
+                    mask |= entries[j].1;
+                    j += 1;
+                }
+                i = j;
+                let mut sector = 0u64;
+                let mut m = mask;
+                while m != 0 {
+                    let skip = m.trailing_zeros() as u64;
+                    sector += skip;
+                    m >>= skip;
+                    let run = m.trailing_ones() as u64;
+                    out.push(Transaction {
+                        addr: key.line + sector * SECTOR_BYTES,
+                        size: (run * SECTOR_BYTES) as u32,
+                        space: rank_space(key.space_rank),
+                        store: key.store,
+                    });
+                    sector += run;
+                    m = m.checked_shr(run as u32).unwrap_or(0);
+                }
+            }
+            out
+        }
+    }
+
+    /// SplitMix64: a dependency-free deterministic generator for the
+    /// differential test below.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The coalescer emits exactly the transactions, in exactly the order,
+    /// of the struct-key reference, on random batches over all four
+    /// spaces, loads and stores, several instruction groups, accesses that
+    /// straddle sectors and lines, addresses around the simulator's
+    /// highest space base (the CXL base, 2^50) and the top of the packed
+    /// line field, and batches of more than 512 accesses.
+    #[test]
+    fn matches_the_struct_key_reference() {
+        const CXL_BASE: u64 = 0x4_0000_0000_0000;
+        let bases = [
+            0,
+            0x1_0000_0000_0000,
+            0x2_0000_0000_0000,
+            0x3_0000_0000_0000,
+            CXL_BASE - 4096,
+            CXL_BASE,
+            (1 << 56) - (1 << 21),
+        ];
+        let spaces = [Space::Device, Space::HostPinned, Space::Managed, Space::Cxl];
+        let sizes = [1u8, 4, 4, 8, 8, 8, 16, 33, 100, 255];
+        let mut rng = SplitMix(0x5EED);
+        let mut c = Coalescer::new();
+        let mut got = Vec::new();
+        for case in 0..2000 {
+            let n = if case % 10 == 0 {
+                513 + rng.below(700) as usize
+            } else {
+                1 + rng.below(96) as usize
+            };
+            let base = bases[rng.below(bases.len() as u64) as usize];
+            let span = [256, 4096, 1 << 20][rng.below(3) as usize];
+            let accesses: Vec<LaneAccess> = (0..n)
+                .map(|_| {
+                    let size = sizes[rng.below(sizes.len() as u64) as usize];
+                    let addr = base + rng.below(span);
+                    let space = spaces[rng.below(4) as usize];
+                    let instr = [0, 0, 1, 2, 7, 255][rng.below(6) as usize];
+                    let a = if rng.below(4) == 0 {
+                        LaneAccess::store(addr, size, space)
+                    } else {
+                        LaneAccess::load(addr, size, space)
+                    };
+                    a.with_instr(instr)
+                })
+                .collect();
+            got.clear();
+            c.coalesce(&accesses, &mut got);
+            assert_eq!(got, reference::coalesce(&accesses), "case {case}");
+        }
+    }
+
     #[test]
     fn unordered_lanes_coalesce_the_same() {
         let mut fwd = AccessBatch::new();

@@ -969,4 +969,98 @@ mod tests {
         );
         assert_eq!(r.mshr_merges, 1);
     }
+
+    /// A fixed kernel that drives every executor path in one run:
+    /// overlapping misaligned host windows (MSHR merges, 32–128-byte
+    /// requests), a strided host gather wider than the per-warp in-flight
+    /// limit (deferral), device loads and stores, CXL loads, and managed
+    /// loads (page faults, then resident hits).
+    struct GoldenKernel {
+        host: u64,
+        dev: u64,
+        cxl: u64,
+        managed: u64,
+        next: u64,
+    }
+
+    impl Kernel for GoldenKernel {
+        type Task = (u64, u64);
+
+        fn next_task(&mut self) -> Option<(u64, u64)> {
+            (self.next < 24).then(|| {
+                self.next += 1;
+                (self.next - 1, 0)
+            })
+        }
+
+        fn step(&mut self, t: &mut (u64, u64), batch: &mut AccessBatch) -> StepOutcome {
+            let (id, k) = *t;
+            // Neighbouring tasks read overlapping 256-byte windows.
+            let window = self.host + (id + k) * 192 + (id % 3) * 32;
+            for lane in 0..32 {
+                batch.load(window + lane * 8, 8, Space::HostPinned);
+            }
+            for lane in 0..8 {
+                let line = (id * 7 + k * 13 + lane * 29) % 64;
+                batch.load_instr(self.host + line * 128 + lane * 8, 8, Space::HostPinned, 1);
+            }
+            for lane in 0..32 {
+                batch.load(self.dev + (id * 4 + k) * 128 + lane * 8, 8, Space::Device);
+            }
+            batch.store(self.dev + 65536 + id * 8, 8, Space::Device);
+            for lane in 0..16 {
+                batch.load(self.cxl + (id % 4) * 512 + k * 96 + lane * 4, 4, Space::Cxl);
+            }
+            for lane in 0..8 {
+                batch.load(
+                    self.managed + (k * 4 + id % 2) * 4096 + lane * 16,
+                    8,
+                    Space::Managed,
+                );
+            }
+            batch.compute_ns = (id % 5) as u32 * 10;
+            t.1 += 1;
+            if t.1 == 4 {
+                StepOutcome::Done
+            } else {
+                StepOutcome::Continue
+            }
+        }
+    }
+
+    /// Pins the executor's complete output for [`GoldenKernel`] under a
+    /// two-request per-warp limit and an eight-tag link: any change to
+    /// request bookkeeping, event order or the access paths that moves a
+    /// simulated tick fails here.
+    #[test]
+    fn golden_kernel_report() {
+        let mut cfg = MachineConfig::v100_gen3().with_cxl(emogi_sim::cxl::CxlConfig::external_x8());
+        cfg.gpu.max_pending_per_warp = 2;
+        cfg.gpu.resident_warps = 8;
+        cfg.pcie.max_tags = 8;
+        let mut m = Machine::new(cfg);
+        let mut k = GoldenKernel {
+            host: m.alloc_host_pinned(1 << 16),
+            dev: m.alloc_device(1 << 17),
+            cxl: m.alloc_cxl(1 << 12),
+            managed: m.alloc_managed(1 << 16),
+            next: 0,
+        };
+        let r = run_kernel(&mut m, &mut k);
+        let got = (
+            r.steps,
+            r.tasks,
+            r.host_txns,
+            r.device_txns,
+            r.cxl_txns,
+            r.managed_txns,
+            r.mshr_merges,
+            r.page_faults,
+            r.end,
+        );
+        assert_eq!(got, (96, 24, 1024, 288, 120, 96, 188, 2, 58642));
+        assert_eq!(m.monitor.sizes.buckets, [117, 31, 5, 4]);
+        assert_eq!(m.monitor.sizes.other, 0);
+        assert_eq!((m.hbm.bytes_read, m.hbm.bytes_written), (13440, 3072));
+    }
 }

@@ -129,6 +129,69 @@ mod tests {
         assert_eq!(q.peek_time(), None);
     }
 
+    /// SplitMix64: a dependency-free deterministic generator.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The queue pops exactly what a `BinaryHeap<Reverse<(Time, seq)>>`
+    /// pops, on random interleavings of pushes and pops: equal timestamps,
+    /// events far past any near-term window, and pushes earlier than the
+    /// last pop all included. `peek_time` and `len` agree throughout.
+    #[test]
+    fn matches_a_reference_heap() {
+        let mut rng = SplitMix(0xE7E7);
+        for case in 0..200 {
+            let mut q = EventQueue::new();
+            let mut reference: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
+            let mut seq = 0u64;
+            let mut last_pop: Time = rng.below(1 << 20);
+            let ops = 1 + rng.below(3000);
+            for _ in 0..ops {
+                if rng.below(100) < 55 {
+                    let at = match rng.below(10) {
+                        0..=3 => last_pop + rng.below(4),
+                        4..=6 => last_pop + rng.below(3000),
+                        7 => last_pop + rng.below(1 << 30),
+                        8 => last_pop.saturating_sub(rng.below(5000)),
+                        _ => last_pop + (1 << 12) * rng.below(4) + rng.below(2),
+                    };
+                    q.push(at, seq);
+                    reference.push(Reverse((at, seq)));
+                    seq += 1;
+                } else {
+                    let want = reference.pop().map(|Reverse(e)| e);
+                    assert_eq!(q.pop(), want, "case {case}");
+                    if let Some((at, _)) = want {
+                        last_pop = at;
+                    }
+                }
+                assert_eq!(
+                    q.peek_time(),
+                    reference.peek().map(|Reverse((at, _))| *at),
+                    "case {case}"
+                );
+                assert_eq!(q.len(), reference.len(), "case {case}");
+            }
+            while let Some(Reverse(e)) = reference.pop() {
+                assert_eq!(q.pop(), Some(e), "case {case}");
+            }
+            assert!(q.is_empty() && q.pop().is_none());
+        }
+    }
+
     #[test]
     fn interleaved_push_pop_keeps_order() {
         let mut q = EventQueue::new();
