@@ -38,19 +38,23 @@ impl Transaction {
     /// Bitmask of the sectors within the line this transaction covers.
     #[inline]
     pub fn sector_mask(&self) -> u8 {
-        let first = ((self.addr % LINE_BYTES) / SECTOR_BYTES) as u8;
-        let count = (self.size as u64 / SECTOR_BYTES) as u8;
-        (((1u16 << count) - 1) << first) as u8
+        run_mask(
+            (self.addr % LINE_BYTES) / SECTOR_BYTES,
+            u64::from(self.size) / SECTOR_BYTES,
+        )
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct EntryKey {
-    space_rank: u8,
-    store: bool,
-    instr: u8,
-    line: u64,
-}
+// A coalescer entry packs one (space, store, instruction, line) key and
+// the line's touched-sector mask into a `u64`, most significant field
+// first, so sorting plain integers sorts by key and brings equal keys
+// together: space rank (2 bits), store (1), instruction group (8), line
+// index (49), sector mask (4).
+const MASK_BITS: u32 = 4;
+const LINE_INDEX_BITS: u32 = 49;
+const INSTR_SHIFT: u32 = MASK_BITS + LINE_INDEX_BITS;
+const STORE_SHIFT: u32 = INSTR_SHIFT + 8;
+const SPACE_SHIFT: u32 = STORE_SHIFT + 1;
 
 fn space_rank(s: Space) -> u8 {
     match s {
@@ -70,11 +74,32 @@ fn rank_space(r: u8) -> Space {
     }
 }
 
+/// Bitmask of `count` sectors starting at sector `first` of a line.
+#[inline]
+pub fn run_mask(first: u64, count: u64) -> u8 {
+    (((1u16 << count) - 1) << first) as u8
+}
+
+/// The runs of set bits in a line's sector mask, lowest first, as
+/// `(first sector, sector count)`.
+#[inline]
+pub fn sector_runs(mut mask: u8) -> impl Iterator<Item = (u64, u64)> {
+    std::iter::from_fn(move || {
+        if mask == 0 {
+            return None;
+        }
+        let first = u64::from(mask.trailing_zeros());
+        let count = u64::from((mask >> first).trailing_ones());
+        mask &= !run_mask(first, count);
+        Some((first, count))
+    })
+}
+
 /// The coalescing unit. Holds scratch buffers so per-step coalescing does
 /// not allocate; one per executor.
 #[derive(Debug, Default)]
 pub struct Coalescer {
-    entries: Vec<(EntryKey, u8)>,
+    entries: Vec<u64>,
 }
 
 impl Coalescer {
@@ -83,73 +108,72 @@ impl Coalescer {
     }
 
     /// Coalesce a warp's lane accesses into transactions, appended to
-    /// `out` in deterministic (space, store, address) order.
+    /// `out` in deterministic (space, store, instruction, address) order.
     pub fn coalesce(&mut self, accesses: &[LaneAccess], out: &mut Vec<Transaction>) {
         self.entries.clear();
         for a in accesses {
             if a.size == 0 {
                 continue;
             }
-            let first_sector = a.addr / SECTOR_BYTES;
+            let group = (u64::from(space_rank(a.space)) << SPACE_SHIFT)
+                | (u64::from(a.store) << STORE_SHIFT)
+                | (u64::from(a.instr) << INSTR_SHIFT);
+            let mut sector = a.addr / SECTOR_BYTES;
             let last_sector = (a.addr + u64::from(a.size) - 1) / SECTOR_BYTES;
-            for s in first_sector..=last_sector {
-                let line = (s * SECTOR_BYTES) & !(LINE_BYTES - 1);
-                let bit = 1u8 << (s % SECTORS_PER_LINE_U64);
-                let key = EntryKey {
-                    space_rank: space_rank(a.space),
-                    store: a.store,
-                    instr: a.instr,
-                    line,
-                };
+            // One entry per line the access touches.
+            while sector <= last_sector {
+                let line_index = sector / SECTORS_PER_LINE_U64;
+                debug_assert!(
+                    line_index < 1 << LINE_INDEX_BITS,
+                    "line index of address {:#x} overflows its packed field",
+                    a.addr
+                );
+                let first = sector % SECTORS_PER_LINE_U64;
+                let count = (last_sector - sector + 1).min(SECTORS_PER_LINE_U64 - first);
+                let key = group | (line_index << MASK_BITS);
+                let mask = u64::from(run_mask(first, count));
+                sector += count;
                 // Fast path: warps usually touch lines in address order,
                 // so the previous entry is a frequent match.
                 if let Some(last) = self.entries.last_mut() {
-                    if last.0 == key {
-                        last.1 |= bit;
+                    if *last >> MASK_BITS == key >> MASK_BITS {
+                        *last |= mask;
                         continue;
                     }
                 }
-                self.entries.push((key, bit));
+                self.entries.push(key | mask);
             }
         }
-        if self.entries.is_empty() {
-            return;
-        }
-        self.entries.sort_unstable_by_key(|(k, _)| *k);
-        // Merge duplicate lines, then emit contiguous sector runs.
+        self.entries.sort_unstable();
+        // Merge duplicate keys, then emit contiguous sector runs.
         let mut i = 0;
         while i < self.entries.len() {
-            let (key, mut mask) = self.entries[i];
-            let mut j = i + 1;
-            while j < self.entries.len() && self.entries[j].0 == key {
-                mask |= self.entries[j].1;
-                j += 1;
+            let key = self.entries[i] >> MASK_BITS;
+            let mut mask = self.entries[i];
+            i += 1;
+            while i < self.entries.len() && self.entries[i] >> MASK_BITS == key {
+                mask |= self.entries[i];
+                i += 1;
             }
-            i = j;
-            emit_runs(key, mask, out);
+            emit_runs(key, (mask & ((1 << MASK_BITS) - 1)) as u8, out);
         }
     }
 }
 
-fn emit_runs(key: EntryKey, mask: u8, out: &mut Vec<Transaction>) {
-    debug_assert!(mask != 0 && mask < 16, "line sector mask out of range");
-    let mut sector = 0u64;
-    let mut m = mask;
-    while m != 0 {
-        // Skip to the next set bit.
-        let skip = m.trailing_zeros() as u64;
-        sector += skip;
-        m >>= skip;
-        // Measure the run of set bits.
-        let run = m.trailing_ones() as u64;
+/// Emit one transaction per run of set bits in `mask`, for the packed
+/// key `key` (an entry without its mask field).
+fn emit_runs(key: u64, mask: u8, out: &mut Vec<Transaction>) {
+    debug_assert!(mask != 0, "line sector mask empty");
+    let line = (key & ((1 << LINE_INDEX_BITS) - 1)) * LINE_BYTES;
+    let space = rank_space((key >> (SPACE_SHIFT - MASK_BITS)) as u8);
+    let store = (key >> (STORE_SHIFT - MASK_BITS)) & 1 == 1;
+    for (first, count) in sector_runs(mask) {
         out.push(Transaction {
-            addr: key.line + sector * SECTOR_BYTES,
-            size: (run * SECTOR_BYTES) as u32,
-            space: rank_space(key.space_rank),
-            store: key.store,
+            addr: line + first * SECTOR_BYTES,
+            size: (count * SECTOR_BYTES) as u32,
+            space,
+            store,
         });
-        sector += run;
-        m = m.checked_shr(run as u32).unwrap_or(0);
     }
 }
 

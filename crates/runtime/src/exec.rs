@@ -8,25 +8,34 @@
 //!
 //! 1. the coalescing unit merges the lane accesses into 32–128-byte
 //!    transactions (Figure 3);
-//! 2. device-space transactions probe the cache and fall through to HBM;
+//! 2. device-space transactions probe the cache and fall through to HBM,
+//!    CXL-space ones to the CXL link (one shared load-through-cache path);
 //! 3. pinned-host transactions probe the cache, merge onto in-flight
 //!    requests (MSHR) or issue PCIe reads, subject to the per-warp
 //!    in-flight limit and the link's tag pool;
 //! 4. managed-space transactions consult the UVM page table and stall the
-//!    warp on page faults, which the driver services in batches.
+//!    warp on page faults, which the driver services in batches; resident
+//!    pages take the device path.
 //!
 //! The warp resumes when every load of the step has arrived. Stores
 //! retire through a write buffer and never stall.
+//!
+//! Request bookkeeping does not allocate in the steady state: PCIe
+//! requests live in a slab whose entries (and waiter lists) are reused,
+//! and each line's in-flight requests form an intrusive chain
+//! (`pending_lines` holds its head and tail, `ReqState::next_on_line` the
+//! links) kept in creation order, the order MSHR merges try them in.
 
 use crate::machine::Machine;
 use crate::report::KernelReport;
 use crate::util::FastMap;
 use emogi_gpu::access::{AccessBatch, Space};
-use emogi_gpu::coalesce::{Coalescer, Transaction, LINE_BYTES, SECTOR_BYTES};
+use emogi_gpu::coalesce::{run_mask, sector_runs, Coalescer, Transaction, SECTOR_BYTES};
 use emogi_sim::events::EventQueue;
 use emogi_sim::pcie::ReadOutcome;
 use emogi_sim::time::Time;
 use emogi_uvm::PageState;
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 /// Result of stepping a warp task.
@@ -81,29 +90,22 @@ struct Slot<T> {
     deferred: VecDeque<u32>,
 }
 
+/// End of a `next_on_line` chain.
+const NO_REQ: u32 = u32::MAX;
+
+/// An in-flight PCIe read in the request slab. Slab entries are reused,
+/// and `waiters` keeps its capacity across reuse.
 struct ReqState {
-    addr: u64,
-    size: u32,
+    txn: Transaction,
     owner: u32,
     /// Warp slots to wake on completion (owner included).
     waiters: Vec<u32>,
-    active: bool,
+    /// Next in-flight request on the same line, in creation order.
+    next_on_line: u32,
     /// Deferred requests exist (and merge waiters) before they are put on
     /// the link — the LSU's replay queue merges same-sector loads even
     /// while they wait for an MSHR slot.
     submitted: bool,
-}
-
-impl ReqState {
-    fn line(&self) -> u64 {
-        self.addr & !(LINE_BYTES - 1)
-    }
-
-    fn sector_mask(&self) -> u8 {
-        let first = (self.addr % LINE_BYTES) / SECTOR_BYTES;
-        let count = u64::from(self.size) / SECTOR_BYTES;
-        (((1u16 << count) - 1) << first) as u8
-    }
 }
 
 /// Run `kernel` to completion on `machine`, advancing its clock.
@@ -120,6 +122,7 @@ pub fn run_kernel<K: Kernel>(machine: &mut Machine, kernel: &mut K) -> KernelRep
         reqs: Vec::new(),
         free_reqs: Vec::new(),
         pending_lines: FastMap::default(),
+        wake: Vec::new(),
         page_waiters: FastMap::default(),
         uvm_batch_inflight: false,
         batch: AccessBatch::new(),
@@ -147,8 +150,11 @@ struct Executor<'a, K: Kernel> {
     slots: Vec<Slot<K::Task>>,
     reqs: Vec<ReqState>,
     free_reqs: Vec<u32>,
-    /// line address -> indices of in-flight requests touching it.
-    pending_lines: FastMap<u64, Vec<u32>>,
+    /// line address -> first and last in-flight request on it; the rest
+    /// of the chain runs through `ReqState::next_on_line`.
+    pending_lines: FastMap<u64, (u32, u32)>,
+    /// Scratch for the waiters of a completing request.
+    wake: Vec<u32>,
     /// page id -> warps stalled on it.
     page_waiters: FastMap<u64, Vec<u32>>,
     uvm_batch_inflight: bool,
@@ -254,6 +260,41 @@ impl<K: Kernel> Executor<'_, K> {
         }
     }
 
+    /// Probe the cache for a load of `txn`'s sectors; the hits resume warp
+    /// `w` after the hit latency. Returns the missing sectors.
+    fn probe(&mut self, w: u32, txn: &Transaction, at: Time) -> u8 {
+        let mask = txn.sector_mask();
+        let hit = self.m.cache.probe(txn.line(), mask);
+        if hit != 0 {
+            let slot = &mut self.slots[w as usize];
+            slot.resume_at = slot.resume_at.max(at + self.m.cache.hit_latency_ns);
+        }
+        mask & !hit
+    }
+
+    /// A synchronous load through the cache: each missing sector run is
+    /// read by `read(machine, addr, size)`, which returns its completion
+    /// time, and filled into the cache; the warp resumes after the last.
+    fn load_through_cache(
+        &mut self,
+        w: u32,
+        txn: &Transaction,
+        at: Time,
+        read: impl Fn(&mut Machine, u64, u32) -> Time,
+    ) {
+        let line = txn.line();
+        for (first, run) in sector_runs(self.probe(w, txn, at)) {
+            let done = read(
+                self.m,
+                line + first * SECTOR_BYTES,
+                (run * SECTOR_BYTES) as u32,
+            );
+            self.m.cache.fill(line, run_mask(first, run));
+            let slot = &mut self.slots[w as usize];
+            slot.resume_at = slot.resume_at.max(done);
+        }
+    }
+
     /// Device-space access: cache in front of HBM, fully synchronous.
     fn access_device(&mut self, w: u32, txn: &Transaction, at: Time) {
         self.report.device_txns += 1;
@@ -261,25 +302,7 @@ impl<K: Kernel> Executor<'_, K> {
             self.m.hbm.write(at, txn.addr, txn.size);
             return;
         }
-        let line = txn.line();
-        let mask = txn.sector_mask();
-        let hit = self.m.cache.probe(line, mask);
-        let slot = &mut self.slots[w as usize];
-        if hit != 0 {
-            slot.resume_at = slot.resume_at.max(at + self.m.cache.hit_latency_ns);
-        }
-        let mut miss = mask & !hit;
-        while miss != 0 {
-            let first = miss.trailing_zeros() as u64;
-            let run = (miss >> first).trailing_ones() as u64;
-            let addr = line + first * SECTOR_BYTES;
-            let size = (run * SECTOR_BYTES) as u32;
-            let done = self.m.hbm.read(at, addr, size);
-            self.m.cache.fill(line, run_mask(first, run));
-            let slot = &mut self.slots[w as usize];
-            slot.resume_at = slot.resume_at.max(done);
-            miss &= !run_mask(first, run);
-        }
+        self.load_through_cache(w, txn, at, |m, addr, size| m.hbm.read(at, addr, size));
     }
 
     /// CXL external-tier access: cache in front of a synchronous CXL.mem
@@ -293,30 +316,12 @@ impl<K: Kernel> Executor<'_, K> {
             "the evaluated kernels never store to the CXL tier"
         );
         self.report.cxl_txns += 1;
-        let line = txn.line();
-        let mask = txn.sector_mask();
-        let hit = self.m.cache.probe(line, mask);
-        if hit != 0 {
-            let slot = &mut self.slots[w as usize];
-            slot.resume_at = slot.resume_at.max(at + self.m.cache.hit_latency_ns);
-        }
-        let mut miss = mask & !hit;
-        while miss != 0 {
-            let first = miss.trailing_zeros() as u64;
-            let run = (miss >> first).trailing_ones() as u64;
-            let addr = line + first * SECTOR_BYTES;
-            let size = (run * SECTOR_BYTES) as u32;
-            let done = self
-                .m
-                .cxl
+        self.load_through_cache(w, txn, at, |m, addr, size| {
+            m.cxl
                 .as_mut()
                 .expect("CXL-space access on a machine without a CXL tier")
-                .read(at, addr, size);
-            self.m.cache.fill(line, run_mask(first, run));
-            let slot = &mut self.slots[w as usize];
-            slot.resume_at = slot.resume_at.max(done);
-            miss &= !run_mask(first, run);
-        }
+                .read(at, addr, size)
+        });
     }
 
     /// Pinned-host access: cache, then MSHR merge, then a PCIe read.
@@ -326,50 +331,45 @@ impl<K: Kernel> Executor<'_, K> {
             "the evaluated kernels never store to host memory"
         );
         self.report.host_txns += 1;
-        let line = txn.line();
-        let mask = txn.sector_mask();
-        let hit = self.m.cache.probe(line, mask);
-        if hit != 0 {
-            let slot = &mut self.slots[w as usize];
-            slot.resume_at = slot.resume_at.max(at + self.m.cache.hit_latency_ns);
-        }
-        let mut miss = mask & !hit;
+        let mut miss = self.probe(w, txn, at);
         if miss == 0 {
             return;
         }
-        // MSHR: ride along on in-flight requests covering missing sectors.
-        if let Some(ids) = self.pending_lines.get(&line) {
-            let ids = ids.clone();
-            for r in ids {
-                let req = &mut self.reqs[r as usize];
-                if !req.active {
-                    continue;
-                }
-                let overlap = req.sector_mask() & miss;
-                if overlap != 0 {
-                    req.waiters.push(w);
-                    self.slots[w as usize].outstanding += 1;
-                    self.report.mshr_merges += 1;
-                    miss &= !overlap;
-                    if miss == 0 {
-                        break;
-                    }
+        // MSHR: ride along on in-flight requests covering missing
+        // sectors, oldest first.
+        let line = txn.line();
+        let mut r = self
+            .pending_lines
+            .get(&line)
+            .map_or(NO_REQ, |&(head, _)| head);
+        while r != NO_REQ {
+            let req = &mut self.reqs[r as usize];
+            let overlap = req.txn.sector_mask() & miss;
+            if overlap != 0 {
+                req.waiters.push(w);
+                self.slots[w as usize].outstanding += 1;
+                self.report.mshr_merges += 1;
+                miss &= !overlap;
+                if miss == 0 {
+                    return;
                 }
             }
+            r = req.next_on_line;
         }
         // Remaining runs become new PCIe reads. The request is created
         // (and MSHR-visible) immediately; it only goes on the link when
         // the warp has an in-flight slot free.
-        while miss != 0 {
-            let first = miss.trailing_zeros() as u64;
-            let run = (miss >> first).trailing_ones() as u64;
-            let addr = line + first * SECTOR_BYTES;
-            let size = (run * SECTOR_BYTES) as u32;
-            miss &= !run_mask(first, run);
+        for (first, run) in sector_runs(miss) {
+            let r = self.create_request(
+                w,
+                Transaction {
+                    addr: line + first * SECTOR_BYTES,
+                    size: (run * SECTOR_BYTES) as u32,
+                    ..*txn
+                },
+            );
             let slot = &mut self.slots[w as usize];
             slot.outstanding += 1;
-            let r = self.create_request(w, addr, size);
-            let slot = &mut self.slots[w as usize];
             if slot.own_inflight >= self.m.cfg.gpu.max_pending_per_warp {
                 slot.deferred.push_back(r);
             } else {
@@ -378,48 +378,49 @@ impl<K: Kernel> Executor<'_, K> {
         }
     }
 
-    /// Allocate a request and register it for MSHR merging.
-    fn create_request(&mut self, w: u32, addr: u64, size: u32) -> u32 {
-        let state = ReqState {
-            addr,
-            size,
-            owner: w,
-            waiters: vec![w],
-            active: true,
-            submitted: false,
-        };
-        let r = match self.free_reqs.pop() {
-            Some(r) => {
-                self.reqs[r as usize] = state;
-                r
+    /// Allocate a request and append it to its line's MSHR chain.
+    fn create_request(&mut self, w: u32, txn: Transaction) -> u32 {
+        let r = self.free_reqs.pop().unwrap_or_else(|| {
+            self.reqs.push(ReqState {
+                txn,
+                owner: w,
+                waiters: Vec::new(),
+                next_on_line: NO_REQ,
+                submitted: false,
+            });
+            (self.reqs.len() - 1) as u32
+        });
+        let req = &mut self.reqs[r as usize];
+        (req.txn, req.owner, req.next_on_line, req.submitted) = (txn, w, NO_REQ, false);
+        req.waiters.push(w);
+        match self.pending_lines.entry(txn.line()) {
+            Entry::Occupied(mut chain) => {
+                let tail = &mut chain.get_mut().1;
+                self.reqs[*tail as usize].next_on_line = r;
+                *tail = r;
             }
-            None => {
-                self.reqs.push(state);
-                (self.reqs.len() - 1) as u32
+            Entry::Vacant(chain) => {
+                chain.insert((r, r));
             }
-        };
-        self.pending_lines
-            .entry(addr & !(LINE_BYTES - 1))
-            .or_default()
-            .push(r);
+        }
         r
     }
 
     /// Put a created request on the link (consumes one of the owner's
     /// in-flight slots).
     fn submit_request(&mut self, r: u32, at: Time) {
-        let (addr, size, owner) = {
+        let (txn, owner) = {
             let req = &mut self.reqs[r as usize];
             debug_assert!(!req.submitted);
             req.submitted = true;
-            (req.addr, req.size, req.owner)
+            (req.txn, req.owner)
         };
         self.slots[owner as usize].own_inflight += 1;
         match self.m.link.read(
             at,
             u64::from(r),
-            addr,
-            size,
+            txn.addr,
+            txn.size,
             &mut self.m.host_dram,
             &mut self.m.monitor,
         ) {
@@ -433,17 +434,17 @@ impl<K: Kernel> Executor<'_, K> {
     }
 
     fn on_pcie_done(&mut self, r: u32, t: Time) {
-        let (line, mask, size, owner) = {
+        let (txn, owner) = {
             let req = &self.reqs[r as usize];
-            debug_assert!(req.active);
-            (req.line(), req.sector_mask(), req.size, req.owner)
+            debug_assert!(req.submitted && !req.waiters.is_empty());
+            (req.txn, req.owner)
         };
         // Retiring the tag may release link-queued reads.
         self.released.clear();
         let mut released = std::mem::take(&mut self.released);
         self.m.link.complete(
             t,
-            size,
+            txn.size,
             &mut self.m.host_dram,
             &mut self.m.monitor,
             &mut released,
@@ -453,15 +454,9 @@ impl<K: Kernel> Executor<'_, K> {
         }
         self.released = released;
 
-        self.m.cache.fill(line, mask);
-
-        // Unlink from the pending map.
-        if let Some(ids) = self.pending_lines.get_mut(&line) {
-            ids.retain(|&x| x != r);
-            if ids.is_empty() {
-                self.pending_lines.remove(&line);
-            }
-        }
+        let line = txn.line();
+        self.m.cache.fill(line, txn.sector_mask());
+        self.unlink(line, r);
 
         // Free the owner's MSHR slot and submit its deferred requests.
         self.slots[owner as usize].own_inflight -= 1;
@@ -473,13 +468,40 @@ impl<K: Kernel> Executor<'_, K> {
         }
 
         // Wake the waiters.
-        let req = &mut self.reqs[r as usize];
-        req.active = false;
-        let waiters = std::mem::take(&mut req.waiters);
-        for w in waiters {
+        std::mem::swap(&mut self.wake, &mut self.reqs[r as usize].waiters);
+        let mut wake = std::mem::take(&mut self.wake);
+        for &w in &wake {
             self.complete_wait(w, t);
         }
+        wake.clear();
+        self.wake = wake;
         self.free_reqs.push(r);
+    }
+
+    /// Remove request `r` from `line`'s MSHR chain, keeping the others in
+    /// creation order.
+    fn unlink(&mut self, line: u64, r: u32) {
+        let Entry::Occupied(mut chain) = self.pending_lines.entry(line) else {
+            unreachable!("completed request missing from its line's chain");
+        };
+        let next = self.reqs[r as usize].next_on_line;
+        let (head, tail) = chain.get_mut();
+        if *head == r {
+            if next == NO_REQ {
+                chain.remove();
+            } else {
+                *head = next;
+            }
+            return;
+        }
+        let mut prev = *head;
+        while self.reqs[prev as usize].next_on_line != r {
+            prev = self.reqs[prev as usize].next_on_line;
+        }
+        self.reqs[prev as usize].next_on_line = next;
+        if *tail == r {
+            *tail = prev;
+        }
     }
 
     /// Managed-space access: resident pages behave like device memory;
@@ -516,30 +538,7 @@ impl<K: Kernel> Executor<'_, K> {
             return;
         }
         // Fully resident: normal cached device-side access.
-        self.access_resident_managed(w, txn, at);
-    }
-
-    fn access_resident_managed(&mut self, w: u32, txn: &Transaction, at: Time) {
-        let line = txn.line();
-        let mask = txn.sector_mask();
-        let hit = self.m.cache.probe(line, mask);
-        let slot = &mut self.slots[w as usize];
-        if hit != 0 {
-            slot.resume_at = slot.resume_at.max(at + self.m.cache.hit_latency_ns);
-        }
-        let mut miss = mask & !hit;
-        while miss != 0 {
-            let first = miss.trailing_zeros() as u64;
-            let run = (miss >> first).trailing_ones() as u64;
-            let done =
-                self.m
-                    .hbm
-                    .read(at, line + first * SECTOR_BYTES, (run * SECTOR_BYTES) as u32);
-            self.m.cache.fill(line, run_mask(first, run));
-            let slot = &mut self.slots[w as usize];
-            slot.resume_at = slot.resume_at.max(done);
-            miss &= !run_mask(first, run);
-        }
+        self.load_through_cache(w, txn, at, |m, addr, size| m.hbm.read(at, addr, size));
     }
 
     fn maybe_start_uvm_batch(&mut self, at: Time) {
@@ -590,11 +589,6 @@ impl<K: Kernel> Executor<'_, K> {
             self.events.push(at, Ev::Ready(w));
         }
     }
-}
-
-#[inline]
-fn run_mask(first: u64, run: u64) -> u8 {
-    (((1u16 << run) - 1) << first) as u8
 }
 
 #[cfg(test)]

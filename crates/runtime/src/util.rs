@@ -1,10 +1,11 @@
 //! Hot-path hashing.
 //!
-//! The executor keeps a map from 128-byte line address to in-flight
-//! request state; it is probed on every cache miss. `std`'s SipHash is
-//! needlessly slow for integer keys (see the Rust Performance Book's
-//! hashing chapter), and pulling in an external hashing crate is not
-//! justified for one map, so this is a minimal Fx-style multiply hasher.
+//! The executor keeps a map from 128-byte line address to the head and
+//! tail of that line's in-flight request chain; it is probed on every
+//! pinned-host cache miss. `std`'s SipHash is needlessly slow for integer
+//! keys (see the Rust Performance Book's hashing chapter), and pulling in
+//! an external hashing crate is not justified for one map, so this is a
+//! minimal Fx-style multiply hasher.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};

@@ -1,86 +1,238 @@
 //! A deterministic discrete-event queue.
 //!
 //! The executor in `emogi-runtime` drives the whole machine from one of
-//! these. Ties are broken by insertion order so simulations are
-//! bit-reproducible regardless of the event payload type.
+//! these. Events pop in `(time, insertion order)` order, so ties are FIFO
+//! and simulations are bit-reproducible regardless of the payload type.
+//!
+//! Almost every event the executor schedules lands a few nanoseconds to a
+//! few microseconds after the last one popped (warp resumes, PCIe
+//! completions), so the queue is a timing wheel: one FIFO chain per
+//! nanosecond over a window that starts at the latest popped time (or,
+//! while the wheel is empty, at the next push), found through a
+//! two-level occupancy bitmap. Events outside the window —
+//! far-future ones, and pushes earlier than the last pop — go to a binary
+//! heap, and `pop` takes whichever of the wheel head and the heap top is
+//! earlier by `(time, insertion order)`.
 
 use crate::time::Time;
-use std::cmp::Reverse;
+use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Key {
+/// Width of the wheel in one-nanosecond slots: 64 bitmap words of 64
+/// slots, summarised by one word. It covers warp resumes and unloaded
+/// PCIe round trips; later events (queued link reads, UVM batches) take
+/// the heap.
+const WHEEL_SLOTS: usize = 64 * 64;
+
+/// An event on the wheel, linked into its slot's FIFO chain.
+#[derive(Debug, Clone, Copy)]
+struct Node<E> {
     at: Time,
     seq: u64,
+    next: u32,
+    event: E,
 }
 
-/// Min-heap of timestamped events with FIFO tie-breaking.
+/// An event outside the wheel's window. Ordered by `(at, seq)` reversed,
+/// so `BinaryHeap`'s max is the earliest event.
+#[derive(Debug)]
+struct Far<E> {
+    at: Time,
+    seq: u64,
+    event: E,
+}
+
+impl<E> PartialEq for Far<E> {
+    fn eq(&self, other: &Self) -> bool {
+        (self.at, self.seq) == (other.at, other.seq)
+    }
+}
+
+impl<E> Eq for Far<E> {}
+
+impl<E> PartialOrd for Far<E> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<E> Ord for Far<E> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        (other.at, other.seq).cmp(&(self.at, self.seq))
+    }
+}
+
+/// Timestamped events popped earliest first, FIFO among equal timestamps.
 #[derive(Debug)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<Reverse<(Key, usize)>>,
-    slots: Vec<Option<E>>,
-    free: Vec<usize>,
+    /// Start of the wheel's window: every wheel event's time lies in
+    /// `[cursor, cursor + WHEEL_SLOTS)`, so a slot holds one time only.
+    cursor: Time,
+    /// Per slot, the first and last node of its chain; valid only while
+    /// the slot's `occupied` bit is set.
+    chains: Vec<(u32, u32)>,
+    /// One bit per slot.
+    occupied: [u64; 64],
+    /// One bit per nonzero `occupied` word.
+    summary: u64,
+    nodes: Vec<Node<E>>,
+    free_nodes: Vec<u32>,
+    wheel_len: usize,
+    far: BinaryHeap<Far<E>>,
     seq: u64,
 }
 
-impl<E> Default for EventQueue<E> {
+impl<E: Copy> Default for EventQueue<E> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl<E> EventQueue<E> {
+impl<E: Copy> EventQueue<E> {
     pub fn new() -> Self {
         Self {
-            heap: BinaryHeap::new(),
-            slots: Vec::new(),
-            free: Vec::new(),
+            cursor: 0,
+            chains: vec![(0, 0); WHEEL_SLOTS],
+            occupied: [0; 64],
+            summary: 0,
+            nodes: Vec::new(),
+            free_nodes: Vec::new(),
+            wheel_len: 0,
+            far: BinaryHeap::new(),
             seq: 0,
         }
     }
 
     /// Schedule `event` to fire at absolute time `at`.
     pub fn push(&mut self, at: Time, event: E) {
-        let key = Key { at, seq: self.seq };
+        let seq = self.seq;
         self.seq += 1;
-        let slot = match self.free.pop() {
+        if self.wheel_len == 0 {
+            // An empty wheel may start its window anywhere.
+            self.cursor = at;
+        }
+        // `at < cursor` wraps to a huge offset and goes to the heap too.
+        if at.wrapping_sub(self.cursor) >= WHEEL_SLOTS as u64 {
+            self.far.push(Far { at, seq, event });
+            return;
+        }
+        let node = Node {
+            at,
+            seq,
+            next: 0,
+            event,
+        };
+        let i = match self.free_nodes.pop() {
             Some(i) => {
-                self.slots[i] = Some(event);
+                self.nodes[i as usize] = node;
                 i
             }
             None => {
-                self.slots.push(Some(event));
-                self.slots.len() - 1
+                self.nodes.push(node);
+                (self.nodes.len() - 1) as u32
             }
         };
-        self.heap.push(Reverse((key, slot)));
+        let slot = at as usize % WHEEL_SLOTS;
+        let (word, bit) = (slot / 64, 1u64 << (slot % 64));
+        if self.occupied[word] & bit != 0 {
+            let tail = &mut self.chains[slot].1;
+            self.nodes[*tail as usize].next = i;
+            *tail = i;
+        } else {
+            self.chains[slot] = (i, i);
+            self.occupied[word] |= bit;
+            self.summary |= 1 << word;
+        }
+        self.wheel_len += 1;
     }
 
     /// Remove and return the earliest event (FIFO among equal timestamps).
     pub fn pop(&mut self) -> Option<(Time, E)> {
-        let Reverse((key, slot)) = self.heap.pop()?;
-        let ev = self.slots[slot].take().expect("event slot occupied");
-        self.free.push(slot);
-        Some((key.at, ev))
+        let slot = self.next_slot();
+        let from_far = match (slot, self.far.peek()) {
+            (_, None) => false,
+            (None, Some(_)) => true,
+            (Some(s), Some(f)) => {
+                let head = &self.nodes[self.chains[s].0 as usize];
+                (f.at, f.seq) < (head.at, head.seq)
+            }
+        };
+        if from_far {
+            let f = self.far.pop()?;
+            // Wheel events are all at or after `f`, so the window may
+            // advance to it.
+            self.cursor = self.cursor.max(f.at);
+            return Some((f.at, f.event));
+        }
+        let slot = slot?;
+        let (head, tail) = self.chains[slot];
+        let node = self.nodes[head as usize];
+        if head == tail {
+            let word = slot / 64;
+            self.occupied[word] &= !(1u64 << (slot % 64));
+            if self.occupied[word] == 0 {
+                self.summary &= !(1u64 << word);
+            }
+        } else {
+            self.chains[slot].0 = node.next;
+        }
+        self.free_nodes.push(head);
+        self.wheel_len -= 1;
+        self.cursor = node.at;
+        Some((node.at, node.event))
     }
 
     /// Timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse((k, _))| k.at)
+        let near = self
+            .next_slot()
+            .map(|s| self.nodes[self.chains[s].0 as usize].at);
+        let far = self.far.peek().map(|f| f.at);
+        match (near, far) {
+            (Some(n), Some(f)) => Some(n.min(f)),
+            (n, f) => n.or(f),
+        }
     }
 
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.wheel_len + self.far.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
+    }
+
+    /// The wheel's earliest occupied slot: the first one at or after the
+    /// cursor's slot, wrapping around once.
+    fn next_slot(&self) -> Option<usize> {
+        if self.wheel_len == 0 {
+            return None;
+        }
+        let start = self.cursor as usize % WHEEL_SLOTS;
+        self.first_occupied_from(start)
+            .or_else(|| self.first_occupied_from(0))
+    }
+
+    /// First occupied slot at or after `from`, without wrapping.
+    fn first_occupied_from(&self, from: usize) -> Option<usize> {
+        let word = from / 64;
+        let bits = self.occupied[word] & (u64::MAX << (from % 64));
+        if bits != 0 {
+            return Some(word * 64 + bits.trailing_zeros() as usize);
+        }
+        // Words after `word` (two shifts, as `word + 1` may be 64).
+        let later = self.summary & (u64::MAX << word << 1);
+        (later != 0).then(|| {
+            let w = later.trailing_zeros() as usize;
+            w * 64 + self.occupied[w].trailing_zeros() as usize
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Reverse;
 
     #[test]
     fn pops_in_time_order() {
@@ -103,21 +255,6 @@ mod tests {
         for i in 0..100u32 {
             assert_eq!(q.pop(), Some((5, i)));
         }
-    }
-
-    #[test]
-    fn slots_are_recycled() {
-        let mut q = EventQueue::new();
-        for round in 0..10u64 {
-            for i in 0..8u64 {
-                q.push(round * 10 + i, i);
-            }
-            for _ in 0..8 {
-                q.pop().unwrap();
-            }
-        }
-        // 8 live slots at most, reused across rounds.
-        assert!(q.slots.len() <= 8, "slots grew to {}", q.slots.len());
     }
 
     #[test]
@@ -190,6 +327,27 @@ mod tests {
             }
             assert!(q.is_empty() && q.pop().is_none());
         }
+    }
+
+    /// Equal times on both sides of the window edge — one pushed while
+    /// its time was past the window, one after the window reached it —
+    /// and a push earlier than the last pop all keep `(time, push)` order.
+    #[test]
+    fn window_edges_keep_push_order() {
+        let w = WHEEL_SLOTS as Time;
+        let mut q = EventQueue::new();
+        q.push(10, 0);
+        q.push(10 + w, 1);
+        q.push(10 + w - 1, 2);
+        assert_eq!(q.pop(), Some((10, 0)));
+        assert_eq!(q.pop(), Some((10 + w - 1, 2)));
+        q.push(10 + w, 3);
+        q.push(5, 4);
+        assert_eq!(q.peek_time(), Some(5));
+        assert_eq!(q.pop(), Some((5, 4)));
+        assert_eq!(q.pop(), Some((10 + w, 1)));
+        assert_eq!(q.pop(), Some((10 + w, 3)));
+        assert!(q.is_empty());
     }
 
     #[test]
