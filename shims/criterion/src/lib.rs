@@ -4,6 +4,10 @@
 //! subset of the criterion 0.5 API the workspace's benches use, backed by a
 //! plain `Instant`-based timing loop: enough to compile, run and print
 //! per-benchmark wall-clock numbers, without criterion's statistics.
+//!
+//! Like criterion, the first command-line argument that does not start
+//! with `-` filters by substring: `cargo bench --bench components --
+//! event_queue` runs only the benchmarks whose id contains `event_queue`.
 
 // Timing shim: wall-clock use is its whole point. Opt out of the
 // workspace-wide ambient-clock ban (clippy.toml / ambient-nondet).
@@ -21,24 +25,50 @@ const MEASURE_TARGET: Duration = Duration::from_millis(300);
 #[derive(Debug, Default)]
 pub struct Criterion {
     sample_size: usize,
+    /// Only benchmarks whose id contains this substring run.
+    filter: Option<String>,
 }
 
 impl Criterion {
     pub fn new() -> Self {
-        Self { sample_size: 20 }
+        Self {
+            sample_size: 20,
+            filter: None,
+        }
+    }
+
+    /// Filter by the first command-line argument that does not start
+    /// with `-`, if any (what `criterion_group!` harnesses do).
+    pub fn configure_from_args(self) -> Self {
+        match std::env::args().skip(1).find(|a| !a.starts_with('-')) {
+            Some(filter) => self.with_filter(filter),
+            None => self,
+        }
+    }
+
+    /// Run only the benchmarks whose id contains `filter`.
+    pub fn with_filter(mut self, filter: impl Into<String>) -> Self {
+        self.filter = Some(filter.into());
+        self
     }
 
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
             name: name.into(),
             sample_size: self.sample_size,
-            _parent: self,
+            parent: self,
         }
     }
 
     pub fn bench_function(&mut self, name: &str, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_bench(name, self.sample_size, f);
+        self.run(name, self.sample_size, f);
         self
+    }
+
+    fn run(&self, id: &str, sample_size: usize, f: impl FnMut(&mut Bencher)) {
+        if self.filter.as_ref().is_none_or(|s| id.contains(s.as_str())) {
+            run_bench(id, sample_size, f);
+        }
     }
 }
 
@@ -46,7 +76,7 @@ impl Criterion {
 pub struct BenchmarkGroup<'c> {
     name: String,
     sample_size: usize,
-    _parent: &'c mut Criterion,
+    parent: &'c mut Criterion,
 }
 
 impl BenchmarkGroup<'_> {
@@ -60,7 +90,8 @@ impl BenchmarkGroup<'_> {
     }
 
     pub fn bench_function(&mut self, name: impl Display, f: impl FnMut(&mut Bencher)) -> &mut Self {
-        run_bench(&format!("{}/{}", self.name, name), self.sample_size, f);
+        self.parent
+            .run(&format!("{}/{}", self.name, name), self.sample_size, f);
         self
     }
 
@@ -70,9 +101,10 @@ impl BenchmarkGroup<'_> {
         input: &I,
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
-        run_bench(&format!("{}/{}", self.name, id.0), self.sample_size, |b| {
-            f(b, input)
-        });
+        self.parent
+            .run(&format!("{}/{}", self.name, id.0), self.sample_size, |b| {
+                f(b, input)
+            });
         self
     }
 
@@ -144,7 +176,7 @@ fn run_bench(name: &str, sample_size: usize, mut f: impl FnMut(&mut Bencher)) {
 macro_rules! criterion_group {
     ($group:ident, $($target:path),+ $(,)?) => {
         fn $group() {
-            let mut c = $crate::Criterion::new();
+            let mut c = $crate::Criterion::new().configure_from_args();
             $($target(&mut c);)+
         }
     };
@@ -172,6 +204,31 @@ mod tests {
         g.bench_function("count", |b| b.iter(|| ran += 1));
         g.finish();
         assert!(ran > 0);
+    }
+
+    #[test]
+    fn filter_skips_benchmarks_whose_id_lacks_it() {
+        let mut c = Criterion::new().with_filter("event_queue");
+        let mut ran = Vec::new();
+        {
+            let mut g = c.benchmark_group("event_queue");
+            g.sample_size(1);
+            g.bench_function("push_pop", |b| b.iter(|| ran.push("push_pop")));
+            g.finish();
+        }
+        {
+            let mut g = c.benchmark_group("coalescer");
+            g.sample_size(1);
+            g.bench_function("event_queue_like", |b| b.iter(|| ran.push("coalescer")));
+            g.finish();
+        }
+        c.bench_function("cache/probe", |b| b.iter(|| ran.push("probe")));
+        assert!(ran.contains(&"push_pop"));
+        assert!(
+            ran.contains(&"coalescer"),
+            "substring of the name part matches"
+        );
+        assert!(!ran.contains(&"probe"));
     }
 
     #[test]
