@@ -15,7 +15,7 @@
 //! earlier by `(time, insertion order)`.
 
 use crate::time::Time;
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Width of the wheel in one-nanosecond slots: 64 bitmap words of 64
@@ -24,42 +24,13 @@ use std::collections::BinaryHeap;
 /// the heap.
 const WHEEL_SLOTS: usize = 64 * 64;
 
-/// An event on the wheel, linked into its slot's FIFO chain.
+/// A queued event. On the wheel, `next` links its slot's FIFO chain.
 #[derive(Debug, Clone, Copy)]
 struct Node<E> {
     at: Time,
     seq: u64,
     next: u32,
     event: E,
-}
-
-/// An event outside the wheel's window. Ordered by `(at, seq)` reversed,
-/// so `BinaryHeap`'s max is the earliest event.
-#[derive(Debug)]
-struct Far<E> {
-    at: Time,
-    seq: u64,
-    event: E,
-}
-
-impl<E> PartialEq for Far<E> {
-    fn eq(&self, other: &Self) -> bool {
-        (self.at, self.seq) == (other.at, other.seq)
-    }
-}
-
-impl<E> Eq for Far<E> {}
-
-impl<E> PartialOrd for Far<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl<E> Ord for Far<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        (other.at, other.seq).cmp(&(self.at, self.seq))
-    }
 }
 
 /// Timestamped events popped earliest first, FIFO among equal timestamps.
@@ -78,7 +49,8 @@ pub struct EventQueue<E> {
     nodes: Vec<Node<E>>,
     free_nodes: Vec<u32>,
     wheel_len: usize,
-    far: BinaryHeap<Far<E>>,
+    /// Events outside the window, as `(at, seq, node)`.
+    far: BinaryHeap<Reverse<(Time, u64, u32)>>,
     seq: u64,
 }
 
@@ -111,11 +83,6 @@ impl<E: Copy> EventQueue<E> {
             // An empty wheel may start its window anywhere.
             self.cursor = at;
         }
-        // `at < cursor` wraps to a huge offset and goes to the heap too.
-        if at.wrapping_sub(self.cursor) >= WHEEL_SLOTS as u64 {
-            self.far.push(Far { at, seq, event });
-            return;
-        }
         let node = Node {
             at,
             seq,
@@ -132,6 +99,11 @@ impl<E: Copy> EventQueue<E> {
                 (self.nodes.len() - 1) as u32
             }
         };
+        // `at < cursor` wraps to a huge offset and goes to the heap too.
+        if at.wrapping_sub(self.cursor) >= WHEEL_SLOTS as u64 {
+            self.far.push(Reverse((at, seq, i)));
+            return;
+        }
         let slot = at as usize % WHEEL_SLOTS;
         let (word, bit) = (slot / 64, 1u64 << (slot % 64));
         if self.occupied[word] & bit != 0 {
@@ -152,17 +124,18 @@ impl<E: Copy> EventQueue<E> {
         let from_far = match (slot, self.far.peek()) {
             (_, None) => false,
             (None, Some(_)) => true,
-            (Some(s), Some(f)) => {
+            (Some(s), Some(&Reverse((at, seq, _)))) => {
                 let head = &self.nodes[self.chains[s].0 as usize];
-                (f.at, f.seq) < (head.at, head.seq)
+                (at, seq) < (head.at, head.seq)
             }
         };
         if from_far {
-            let f = self.far.pop()?;
-            // Wheel events are all at or after `f`, so the window may
-            // advance to it.
-            self.cursor = self.cursor.max(f.at);
-            return Some((f.at, f.event));
+            let Reverse((at, _, i)) = self.far.pop()?;
+            self.free_nodes.push(i);
+            // Wheel events are all at or after this one, so the window
+            // may advance to it.
+            self.cursor = self.cursor.max(at);
+            return Some((at, self.nodes[i as usize].event));
         }
         let slot = slot?;
         let (head, tail) = self.chains[slot];
@@ -187,7 +160,7 @@ impl<E: Copy> EventQueue<E> {
         let near = self
             .next_slot()
             .map(|s| self.nodes[self.chains[s].0 as usize].at);
-        let far = self.far.peek().map(|f| f.at);
+        let far = self.far.peek().map(|&Reverse((at, _, _))| at);
         match (near, far) {
             (Some(n), Some(f)) => Some(n.min(f)),
             (n, f) => n.or(f),
@@ -232,7 +205,6 @@ impl<E: Copy> EventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cmp::Reverse;
 
     #[test]
     fn pops_in_time_order() {
