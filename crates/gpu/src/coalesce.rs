@@ -118,55 +118,52 @@ impl Coalescer {
             let group = (u64::from(space_rank(a.space)) << SPACE_SHIFT)
                 | (u64::from(a.store) << STORE_SHIFT)
                 | (u64::from(a.instr) << INSTR_SHIFT);
-            let mut sector = a.addr / SECTOR_BYTES;
+            let first_sector = a.addr / SECTOR_BYTES;
             let last_sector = (a.addr + u64::from(a.size) - 1) / SECTOR_BYTES;
-            // One entry per line the access touches.
-            while sector <= last_sector {
-                let line_index = sector / SECTORS_PER_LINE_U64;
+            for s in first_sector..=last_sector {
+                let line_index = s / SECTORS_PER_LINE_U64;
                 debug_assert!(
                     line_index < 1 << LINE_INDEX_BITS,
                     "line index of address {:#x} overflows its packed field",
                     a.addr
                 );
-                let first = sector % SECTORS_PER_LINE_U64;
-                let count = (last_sector - sector + 1).min(SECTORS_PER_LINE_U64 - first);
-                let key = group | (line_index << MASK_BITS);
-                let mask = u64::from(run_mask(first, count));
-                sector += count;
+                let entry = group | (line_index << MASK_BITS) | 1 << (s % SECTORS_PER_LINE_U64);
                 // Fast path: warps usually touch lines in address order,
                 // so the previous entry is a frequent match.
-                if let Some(last) = self.entries.last_mut() {
-                    if *last >> MASK_BITS == key >> MASK_BITS {
-                        *last |= mask;
-                        continue;
-                    }
+                match self.entries.last_mut() {
+                    Some(last) if same_key(*last, entry) => *last |= entry,
+                    _ => self.entries.push(entry),
                 }
-                self.entries.push(key | mask);
             }
         }
         self.entries.sort_unstable();
-        // Merge duplicate keys, then emit contiguous sector runs.
+        // Merge entries of equal key, then emit contiguous sector runs.
         let mut i = 0;
         while i < self.entries.len() {
-            let key = self.entries[i] >> MASK_BITS;
-            let mut mask = self.entries[i];
+            let mut entry = self.entries[i];
             i += 1;
-            while i < self.entries.len() && self.entries[i] >> MASK_BITS == key {
-                mask |= self.entries[i];
+            while i < self.entries.len() && same_key(self.entries[i], entry) {
+                entry |= self.entries[i];
                 i += 1;
             }
-            emit_runs(key, (mask & ((1 << MASK_BITS) - 1)) as u8, out);
+            emit_runs(entry, out);
         }
     }
 }
 
-/// Emit one transaction per run of set bits in `mask`, for the packed
-/// key `key` (an entry without its mask field).
-fn emit_runs(key: u64, mask: u8, out: &mut Vec<Transaction>) {
+/// Whether two packed entries differ at most in their sector masks.
+#[inline]
+fn same_key(a: u64, b: u64) -> bool {
+    (a ^ b) >> MASK_BITS == 0
+}
+
+/// Emit one transaction per run of set bits in a packed entry's mask.
+fn emit_runs(entry: u64, out: &mut Vec<Transaction>) {
+    let line = ((entry >> MASK_BITS) & ((1 << LINE_INDEX_BITS) - 1)) * LINE_BYTES;
+    let space = rank_space((entry >> SPACE_SHIFT) as u8);
+    let store = (entry >> STORE_SHIFT) & 1 == 1;
+    let mask = (entry & ((1 << MASK_BITS) - 1)) as u8;
     debug_assert!(mask != 0, "line sector mask empty");
-    let line = (key & ((1 << LINE_INDEX_BITS) - 1)) * LINE_BYTES;
-    let space = rank_space((key >> (SPACE_SHIFT - MASK_BITS)) as u8);
-    let store = (key >> (STORE_SHIFT - MASK_BITS)) & 1 == 1;
     for (first, count) in sector_runs(mask) {
         out.push(Transaction {
             addr: line + first * SECTOR_BYTES,
