@@ -4,13 +4,12 @@
 //! these. Events pop in `(time, insertion order)` order, so ties are FIFO
 //! and simulations are bit-reproducible regardless of the payload type.
 //!
-//! Almost every event the executor schedules lands a few nanoseconds to a
-//! few microseconds after the last one popped (warp resumes, PCIe
-//! completions), so the queue is a timing wheel: one FIFO chain per
-//! nanosecond over a window that starts at the latest popped time (or,
-//! while the wheel is empty, at the next push), found through a
-//! two-level occupancy bitmap. Events outside the window —
-//! far-future ones, and pushes earlier than the last pop — go to a binary
+//! Most events the executor schedules land within a few microseconds of
+//! the last one popped, so the queue is a timing wheel: one FIFO chain
+//! per nanosecond over a window that starts at the latest popped time
+//! (or, while the wheel is empty, at the next push), found through a
+//! two-level occupancy bitmap. Events outside the window — far-future
+//! ones, and pushes earlier than the window's start — go to a binary
 //! heap, and `pop` takes whichever of the wheel head and the heap top is
 //! earlier by `(time, insertion order)`.
 
@@ -19,9 +18,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Width of the wheel in one-nanosecond slots: 64 bitmap words of 64
-/// slots, summarised by one word. It covers warp resumes and unloaded
-/// PCIe round trips; later events (queued link reads, UVM batches) take
-/// the heap.
+/// slots, summarised by one word. Counted over `perfbench` runs at
+/// seeds 1 and 1017, 99.99% of pushes land in this window on
+/// bfs-zerocopy and serve-mixed, and 82% on sweep-tiered (17% past its
+/// end, 1% before its start).
 const WHEEL_SLOTS: usize = 64 * 64;
 
 /// A queued event. On the wheel, `next` links its slot's FIFO chain.
@@ -258,7 +258,9 @@ mod tests {
     /// The queue pops exactly what a `BinaryHeap<Reverse<(Time, seq)>>`
     /// pops, on random interleavings of pushes and pops: equal timestamps,
     /// events far past any near-term window, and pushes earlier than the
-    /// last pop all included. `peek_time` and `len` agree throughout.
+    /// last pop all included. `peek_time` and `len` agree throughout, and
+    /// the node arena never outgrows the most events ever live at once,
+    /// so both pop paths recycle their nodes.
     #[test]
     fn matches_a_reference_heap() {
         let mut rng = SplitMix(0xE7E7);
@@ -266,6 +268,7 @@ mod tests {
             let mut q = EventQueue::new();
             let mut reference: BinaryHeap<Reverse<(Time, u64)>> = BinaryHeap::new();
             let mut seq = 0u64;
+            let mut peak_live = 0;
             let mut last_pop: Time = rng.below(1 << 20);
             let ops = 1 + rng.below(3000);
             for _ in 0..ops {
@@ -293,6 +296,8 @@ mod tests {
                     "case {case}"
                 );
                 assert_eq!(q.len(), reference.len(), "case {case}");
+                peak_live = peak_live.max(reference.len());
+                assert!(q.nodes.len() <= peak_live, "case {case}");
             }
             while let Some(Reverse(e)) = reference.pop() {
                 assert_eq!(q.pop(), Some(e), "case {case}");
